@@ -51,7 +51,6 @@ impl ClhLock {
             .tail
             .swap(Some(Arc::clone(&node)), &guard)
             .expect("CLH tail is never null");
-        drop(guard);
         let mut spins = 0u32;
         while pred.locked.load(Ordering::Acquire) {
             spins += 1;

@@ -49,7 +49,6 @@ impl McsLock {
         let pred = self.tail.swap(Some(Arc::clone(&node)), &guard);
         if let Some(pred) = pred {
             pred.next.store(Some(Arc::clone(&node)), &guard);
-            drop(guard);
             let mut spins = 0u32;
             while node.locked.load(Ordering::Acquire) {
                 spins += 1;

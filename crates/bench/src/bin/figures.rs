@@ -44,11 +44,9 @@ USAGE:
 
 FIGURE SELECTION:
     --all                 every figure and ablation
-    --fig N               one of 5|6|7|8|13|14|15|ch|a1|a2|a3|a4 (repeatable;
+    --fig N               one of 5|6|7|8|13|14|15|ch|a1|a2|a3 (repeatable;
                           ch = channel producer-consumer extension)
-    --ablation NAME       cancellation (a1), segment (a2), batch-resume (a3)
-                          or reclaim (a4: epoch vs hazard vs owned-slot
-                          backends, incl. the stalled-guard churn soaks)
+    --ablation NAME       cancellation (a1), segment (a2) or batch-resume (a3)
     --scenario NAME       production-traffic scenario (not part of --all):
                           contended   closed-loop contended acquire,
                                       single-queue vs sharded
@@ -64,10 +62,6 @@ MEASUREMENT:
     --threads a,b,c       thread sweep (default: machine-derived)
     --warmup N            warmup repetitions per point
     --repeats N           timed repetitions per point (median reported)
-    --reclaimer NAME      process-default memory-reclamation backend for
-                          every queue the run constructs (epoch | hazard |
-                          owned; default epoch). The a4 ablation sweeps
-                          all three regardless.
 
 WAIT-LADDER TUNING (spin→yield→park; see cqs_core::WaitPolicy):
     --wait-spin N         spin_loop() polls before yielding (default 64)
@@ -124,11 +118,9 @@ fn parse_args() -> Options {
                     .expect("bad percentage");
             }
             "--all" => {
-                figures = [
-                    "5", "6", "7", "8", "13", "14", "15", "ch", "a1", "a2", "a3", "a4",
-                ]
-                .map(String::from)
-                .to_vec();
+                figures = ["5", "6", "7", "8", "13", "14", "15", "ch", "a1", "a2", "a3"]
+                    .map(String::from)
+                    .to_vec();
             }
             "--fig" => figures.push(args.next().expect("--fig needs a number")),
             "--ablation" => {
@@ -137,15 +129,8 @@ fn parse_args() -> Options {
                     "cancellation" => "a1".to_string(),
                     "segment" => "a2".to_string(),
                     "batch-resume" => "a3".to_string(),
-                    "reclaim" => "a4".to_string(),
                     other => panic!("unknown ablation {other}"),
                 });
-            }
-            "--reclaimer" => {
-                let which = args.next().expect("--reclaimer needs a name");
-                let kind = cqs_core::ReclaimerKind::parse(&which)
-                    .unwrap_or_else(|| panic!("unknown reclaimer {which} (epoch|hazard|owned)"));
-                cqs_core::set_default_reclaimer(kind);
             }
             "--scenario" => {
                 let which = args.next().expect("--scenario needs a name");
@@ -413,35 +398,6 @@ fn main() {
                     "waiters per wake",
                     timed(|| ablations::batch_resume(scale, repeats)),
                 );
-            }
-            "a4" => {
-                emit(
-                    &mut figures,
-                    "a4_reclaim_round_trip".to_string(),
-                    "Ablation A4: suspend+resume round-trip per reclamation backend (ns/op)"
-                        .to_string(),
-                    "threads",
-                    timed(|| ablations::reclaim_round_trip(scale, repeats)),
-                );
-                emit(
-                    &mut figures,
-                    "a4_reclaim_batch_resume".to_string(),
-                    "Ablation A4: batched resume_n per reclamation backend (ns/wake)".to_string(),
-                    "waiters per wake",
-                    timed(|| ablations::reclaim_batch_resume(scale, repeats)),
-                );
-                for kind in cqs_core::ReclaimerKind::ALL {
-                    emit_scenario(
-                        &mut figures,
-                        &format!("a4_stall_{}", kind.name()),
-                        &format!(
-                            "Ablation A4: churn soak with stalled {} guard-holder (ns/op)",
-                            kind.name()
-                        ),
-                        "round-trips",
-                        timed_scenario(|| ablations::reclaim_stalled_soak(scale, kind)),
-                    );
-                }
             }
             "s1" => emit_scenario(
                 &mut figures,

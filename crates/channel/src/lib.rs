@@ -68,9 +68,14 @@
 //!
 //! Both sides abort through the smart-cancellation path (paper, §5): a
 //! cancelled waiter either deregisters (`CANCELLED`) or — when a
-//! delivery already committed to it — refuses the resume (`REFUSE`), and
-//! the refused element re-enters the channel for the next receiver.
-//! Cancellation therefore never loses elements.
+//! delivery already committed to it — refuses the resume (`REFUSE`).
+//! When a receiver aborts its own wait ([`ChannelRecv::cancel`] or a
+//! timeout), a refusal means the abort lost: the refused element is
+//! handed to that receiver through a *claim*, so a sender told its
+//! element was delivered is never contradicted by the receiver it was
+//! delivered to. Refusals caused by anyone else (a `close` sweep, the
+//! watchdog) re-deliver the element into the channel for the next
+//! receiver. Cancellation therefore never loses elements.
 //!
 //! [`close`](CqsChannel::close) sweeps both waiter queues through the
 //! normal CQS cancellation sweep: waiting receivers resolve
@@ -83,8 +88,11 @@
 //! delivered to a receiver, returned by `close`/`drain`, or handed back
 //! in a `SendError`.
 
+use std::any::Any;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use cqs_core::{CancellationMode, Cqs, CqsCallbacks, CqsConfig, ResumeMode, Suspend};
 use cqs_future::{Cancelled, CqsFuture, FutureState, Request};
@@ -169,21 +177,34 @@ impl<T: Send + 'static> CqsCallbacks<T> for RecvCallbacks<T> {
             // The channel is gone; no delivery can be in flight.
             return true;
         };
-        // Either deregister a waiting receiver or (s >= 0) acknowledge
-        // that a delivery already committed to this cell — the element is
-        // counted back into the channel by this very increment, and the
-        // refused resume re-routes it.
-        let s = shared.size.fetch_add(1, Ordering::SeqCst);
-        let deregistered = s < 0;
-        if deregistered && shared.capacity == Some(0) {
-            // Rendezvous: the receiver's presence was the capacity; take
-            // the slot released at suspension back. If a sender was
-            // granted on its strength in the meantime, the grant still
-            // delivers — the element parks in the side-pocket buffer for
-            // the next receiver, so nothing is lost (see module docs).
-            shared.slots.fetch_sub(1, Ordering::SeqCst);
+        // Rendezvous: the receiver's presence was one slot of capacity.
+        // Take a free slot back *before* deregistering, so no sender can
+        // pass the gate on it afterwards. With no free slot left, every
+        // waiting receiver — this one included — has a sender committed
+        // to deliver to it, so the delivery must be refused, not lost to
+        // the side pocket.
+        if shared.capacity == Some(0) && !shared.retract_slot() {
+            shared.register_claim();
+            return false;
         }
-        deregistered
+        cqs_chaos::inject!("channel.recv.cancel.pre-deregister");
+        // Either deregister a waiting receiver (s < 0) or acknowledge that
+        // a delivery already committed to this cell (s >= 0). A refusal
+        // leaves `size` alone: the delivery's increment and this
+        // receiver's decrement cancel, and whoever ends up with the
+        // element (a claim, or `deliver`) accounts for it.
+        let mut s = shared.size.load(Ordering::SeqCst);
+        while s < 0 {
+            match shared
+                .size
+                .compare_exchange(s, s + 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return true,
+                Err(actual) => s = actual,
+            }
+        }
+        shared.register_claim();
+        false
     }
 
     fn complete_refused_resume(&self, element: T) {
@@ -191,13 +212,40 @@ impl<T: Send + 'static> CqsCallbacks<T> for RecvCallbacks<T> {
             return; // channel gone; drop the element with it
         };
         cqs_stats::bump!(channel_refused_redeliveries);
-        // `on_cancellation` already counted the element back into `size`,
-        // so store it without another increment; a broken slot means a
-        // racing retrieve gave up its claim, which `deliver` re-counts.
-        if let Err(back) = shared.buffer.try_insert(element) {
-            shared.deliver(back);
+        // Hand the element to the oldest receiver whose own abort was
+        // refused; a claim cancelled by a poison sweep declines it.
+        let mut element = element;
+        loop {
+            let claim = shared
+                .claims
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop_front();
+            match claim {
+                Some(claim) => match claim.complete(element) {
+                    Ok(()) => return,
+                    Err(back) => element = back,
+                },
+                None => break,
+            }
         }
+        // Nobody claims it: the element re-enters the channel.
+        shared.deliver(element);
     }
+}
+
+thread_local! {
+    /// Hand-off between a [`ChannelRecv`] aborting its own waiter and the
+    /// receiver queue's `on_cancellation`, which `Request::cancel` runs
+    /// inline on the cancelling thread. Armed with the channel's address
+    /// for the duration of the abort; a refusal on that channel replaces
+    /// it with the claim future the receiver then waits on.
+    static CLAIM: RefCell<Option<ClaimSlot>> = const { RefCell::new(None) };
+}
+
+enum ClaimSlot {
+    Armed(*const ()),
+    Claimed(Box<dyn Any>),
 }
 
 /// Callbacks of the blocked-sender queue (`Cqs<(), _>`): pure semaphore
@@ -244,6 +292,11 @@ struct ChannelShared<T: Send + 'static> {
     /// Elements claimed back from the buffer after `closed` flipped;
     /// returned by `close()` / `drain()`.
     orphans: Mutex<Vec<T>>,
+    /// Receivers whose own abort refused a committed delivery, oldest
+    /// first; `complete_refused_resume` completes them with the refused
+    /// elements. Claims are fungible: each refusal yields exactly one
+    /// element, so every claim is eventually completed.
+    claims: Mutex<VecDeque<Arc<Request<T>>>>,
 }
 
 impl<T: Send + 'static> ChannelShared<T> {
@@ -277,6 +330,52 @@ impl<T: Send + 'static> ChannelShared<T> {
                 }
             }
         }
+    }
+
+    /// Called by `on_cancellation` on a refusal: if the cancelling thread
+    /// is a [`ChannelRecv`] of this channel aborting its own wait, queue a
+    /// claim for the refused element and leave its future for that
+    /// receiver. The claimed element is consumed by that receiver, so on a
+    /// bounded channel its slot frees when the claim completes.
+    fn register_claim(self: &Arc<Self>) {
+        let me = Arc::as_ptr(self) as *const ();
+        let armed = CLAIM.with(|c| matches!(*c.borrow(), Some(ClaimSlot::Armed(p)) if p == me));
+        if !armed {
+            return;
+        }
+        let request = Arc::new(Request::new());
+        let claim = CqsFuture::suspended(Arc::clone(&request));
+        if self.capacity.is_some_and(|c| c > 0) {
+            let weak = Arc::downgrade(self);
+            claim.on_settled(move |delivered| {
+                if delivered {
+                    if let Some(shared) = weak.upgrade() {
+                        shared.release_slot();
+                    }
+                }
+            });
+        }
+        self.claims
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(request);
+        CLAIM.with(|c| *c.borrow_mut() = Some(ClaimSlot::Claimed(Box::new(claim))));
+    }
+
+    /// Takes one free capacity slot back; `false` if none is free (every
+    /// released slot has been consumed by a sender).
+    fn retract_slot(&self) -> bool {
+        let mut t = self.slots.load(Ordering::SeqCst);
+        while t > 0 {
+            match self
+                .slots
+                .compare_exchange(t, t - 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return true,
+                Err(actual) => t = actual,
+            }
+        }
+        false
     }
 
     /// Releases one capacity slot, granting the oldest blocked sender if
@@ -395,15 +494,27 @@ impl<T: Send + 'static> ChannelShared<T> {
     ///
     /// Like [`close_internal`](Self::close_internal), the cascade is
     /// crash-tolerant: a panic in one queue's poison sweep must not leave
-    /// the other queue un-poisoned with its waiters stranded.
+    /// the other queue un-poisoned with its waiters stranded. Pending
+    /// claims are cancelled last.
     fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         let mut first: Option<Box<dyn std::any::Any + Send>> = None;
-        let steps: [&(dyn Fn() + Sync); 3] = [
+        let steps: [&(dyn Fn() + Sync); 4] = [
             &|| self.receivers.poison(),
             &|| self.senders.poison(),
             &|| {
                 self.close_internal();
+            },
+            // A crash may have killed the thread carrying a claimed
+            // element; release the claimants. An element that does
+            // arrive re-enters the channel for `drain()`.
+            &|| {
+                let claims = std::mem::take(
+                    &mut *self.claims.lock().unwrap_or_else(PoisonError::into_inner),
+                );
+                for claim in claims {
+                    claim.cancel();
+                }
             },
         ];
         for step in steps {
@@ -440,23 +551,15 @@ pub struct CqsChannel<T: Send + 'static> {
 
 impl<T: Send + 'static> CqsChannel<T> {
     fn with_capacity(capacity: Option<i64>) -> Self {
-        Self::build(capacity, None)
-    }
-
-    fn build(capacity: Option<i64>, reclaimer: Option<cqs_core::ReclaimerKind>) -> Self {
         let slots = Arc::new(CachePadded::new(AtomicI64::new(capacity.unwrap_or(0))));
-        let mut recv_config = CqsConfig::new()
+        let recv_config = CqsConfig::new()
             .resume_mode(ResumeMode::Asynchronous)
             .cancellation_mode(CancellationMode::Smart)
             .label("channel.recv");
-        let mut send_config = CqsConfig::new()
+        let send_config = CqsConfig::new()
             .resume_mode(ResumeMode::Asynchronous)
             .cancellation_mode(CancellationMode::Smart)
             .label("channel.send");
-        if let Some(kind) = reclaimer {
-            recv_config = recv_config.reclaimer(kind);
-            send_config = send_config.reclaimer(kind);
-        }
         let shared = Arc::new_cyclic(|weak: &Weak<ChannelShared<T>>| ChannelShared {
             size: CachePadded::new(AtomicI64::new(0)),
             slots: Arc::clone(&slots),
@@ -477,6 +580,7 @@ impl<T: Send + 'static> CqsChannel<T> {
             closed: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             orphans: Mutex::new(Vec::new()),
+            claims: Mutex::new(VecDeque::new()),
         });
         CqsChannel { shared }
     }
@@ -503,28 +607,6 @@ impl<T: Send + 'static> CqsChannel<T> {
     /// A channel whose sends never suspend.
     pub fn unbounded() -> Self {
         Self::with_capacity(None)
-    }
-
-    /// Like [`bounded`](Self::bounded), but both waiter queues use the
-    /// given memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`]. `bounded_with_reclaimer(0, ..)` is
-    /// a rendezvous channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` exceeds `i64::MAX`.
-    pub fn bounded_with_reclaimer(capacity: usize, reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(
-            Some(i64::try_from(capacity).expect("channel capacity exceeds i64")),
-            Some(reclaimer),
-        )
-    }
-
-    /// Like [`unbounded`](Self::unbounded), but the receiver queue uses
-    /// the given memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`].
-    pub fn unbounded_with_reclaimer(reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(None, Some(reclaimer))
     }
 
     /// The configured capacity; `None` when unbounded.
@@ -651,10 +733,7 @@ impl<T: Send + 'static> CqsChannel<T> {
         let shared = &self.shared;
         loop {
             if shared.closed.load(Ordering::SeqCst) {
-                return ChannelRecv {
-                    inner: CqsFuture::cancelled(),
-                    channel: Arc::downgrade(shared),
-                };
+                return ChannelRecv::new(CqsFuture::cancelled(), shared);
             }
             cqs_chaos::inject!("channel.recv.pre-claim");
             let r = shared.size.fetch_sub(1, Ordering::SeqCst);
@@ -690,15 +769,9 @@ impl<T: Send + 'static> CqsChannel<T> {
                             std::panic::resume_unwind(panic);
                         }
                         let element = staged.take().expect("element consumed without a panic");
-                        return ChannelRecv {
-                            inner: CqsFuture::immediate(element),
-                            channel: Arc::downgrade(shared),
-                        };
+                        return ChannelRecv::new(CqsFuture::immediate(element), shared);
                     }
-                    return ChannelRecv {
-                        inner: CqsFuture::immediate(element),
-                        channel: Arc::downgrade(shared),
-                    };
+                    return ChannelRecv::new(CqsFuture::immediate(element), shared);
                 }
                 // Announced but not inserted yet — the standing decrement
                 // is absorbed by the deliverer's restart; claim afresh.
@@ -752,10 +825,7 @@ impl<T: Send + 'static> CqsChannel<T> {
                 }
                 None => {}
             }
-            return ChannelRecv {
-                inner: f,
-                channel: Arc::downgrade(shared),
-            };
+            return ChannelRecv::new(f, shared);
         }
     }
 
@@ -1061,10 +1131,87 @@ impl<T: Send + 'static> std::fmt::Debug for ChannelSend<T> {
 /// capacity slot — though the element inside is lost with the future.
 pub struct ChannelRecv<T: Send + 'static> {
     inner: CqsFuture<T>,
+    /// Set when this receiver's own abort lost to a committed delivery:
+    /// the refused element arrives through this claim instead.
+    claim: Mutex<Option<Claim<T>>>,
     channel: Weak<ChannelShared<T>>,
 }
 
+/// A receiver's claim on the element its refused abort left in flight.
+/// Dropping a claim that has not settled cancels it, so the element
+/// re-enters the channel instead of completing a future nobody holds.
+struct Claim<T: Send + 'static>(CqsFuture<T>);
+
+impl<T: Send + 'static> Claim<T> {
+    /// Waits for the claimed element (in flight, so this is brief).
+    fn wait(mut self, channel: &Weak<ChannelShared<T>>) -> Result<T, RecvError> {
+        let claim = std::mem::replace(&mut self.0, CqsFuture::cancelled());
+        claim
+            .wait()
+            .map_err(|Cancelled| ChannelRecv::error(channel))
+    }
+}
+
+impl<T: Send + 'static> Drop for Claim<T> {
+    fn drop(&mut self) {
+        self.0.cancel();
+    }
+}
+
+/// Clears the [`CLAIM`] hand-off when an abort ends. Reached with a claim
+/// still in the slot only if the abort unwound; the claim is then
+/// cancelled (its element re-enters the channel) or, if it already holds
+/// the element, the element is parked in the orphan list.
+struct Disarm<'a, T: Send + 'static>(&'a ChannelShared<T>);
+
+impl<T: Send + 'static> Drop for Disarm<'_, T> {
+    fn drop(&mut self) {
+        if let Some(ClaimSlot::Claimed(claim)) = CLAIM.with(|c| c.borrow_mut().take()) {
+            if let Ok(mut claim) = claim.downcast::<CqsFuture<T>>() {
+                if !claim.cancel() {
+                    self.0.rescue_settled_value(&mut claim);
+                }
+            }
+        }
+    }
+}
+
 impl<T: Send + 'static> ChannelRecv<T> {
+    fn new(inner: CqsFuture<T>, shared: &Arc<ChannelShared<T>>) -> Self {
+        ChannelRecv {
+            inner,
+            claim: Mutex::new(None),
+            channel: Arc::downgrade(shared),
+        }
+    }
+
+    /// Runs `abort`, which cancels this receiver's own waiter on the
+    /// calling thread, and returns the claim left behind if the
+    /// cancellation refused a delivery already committed to it.
+    fn aborting<R>(
+        channel: &Weak<ChannelShared<T>>,
+        abort: impl FnOnce() -> R,
+    ) -> (R, Option<Claim<T>>) {
+        let Some(shared) = channel.upgrade() else {
+            return (abort(), None);
+        };
+        let me = Arc::as_ptr(&shared) as *const ();
+        CLAIM.with(|c| *c.borrow_mut() = Some(ClaimSlot::Armed(me)));
+        let disarm = Disarm(&shared);
+        let result = abort();
+        let slot = CLAIM.with(|c| c.borrow_mut().take());
+        drop(disarm);
+        let claim = match slot {
+            Some(ClaimSlot::Claimed(claim)) => Some(Claim(
+                *claim
+                    .downcast::<CqsFuture<T>>()
+                    .expect("claims carry the channel's element type"),
+            )),
+            _ => None,
+        };
+        (result, claim)
+    }
+
     fn error(channel: &Weak<ChannelShared<T>>) -> RecvError {
         match channel.upgrade() {
             None => RecvError::Closed,
@@ -1091,14 +1238,30 @@ impl<T: Send + 'static> ChannelRecv<T> {
     ///
     /// Panics if a previous call already returned the element.
     pub fn try_get(&mut self) -> FutureState<T> {
-        self.inner.try_get()
+        match self.inner.try_get() {
+            FutureState::Cancelled => {
+                match self.claim.get_mut().unwrap_or_else(PoisonError::into_inner) {
+                    Some(claim) => claim.0.try_get(),
+                    None => FutureState::Cancelled,
+                }
+            }
+            other => other,
+        }
     }
 
     /// Aborts the waiting receive. Returns `true` if this call aborted
     /// it; a delivery that already committed wins the race and the
-    /// element remains claimable.
+    /// element remains claimable through [`wait`](Self::wait),
+    /// [`try_get`](Self::try_get) or polling.
     pub fn cancel(&self) -> bool {
-        self.inner.cancel()
+        let (aborted, claim) = Self::aborting(&self.channel, || self.inner.cancel());
+        match claim {
+            Some(claim) => {
+                *self.claim.lock().unwrap_or_else(PoisonError::into_inner) = Some(claim);
+                false
+            }
+            None => aborted,
+        }
     }
 
     /// Blocks until an element arrives.
@@ -1108,10 +1271,17 @@ impl<T: Send + 'static> ChannelRecv<T> {
     /// [`RecvError::Closed`] if the channel closed, otherwise
     /// [`RecvError::Cancelled`] if [`cancel`](Self::cancel) won first.
     pub fn wait(self) -> Result<T, RecvError> {
-        let ChannelRecv { inner, channel } = self;
+        let ChannelRecv {
+            inner,
+            claim,
+            channel,
+        } = self;
         match inner.wait() {
             Ok(v) => Ok(v),
-            Err(Cancelled) => Err(Self::error(&channel)),
+            Err(Cancelled) => match claim.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                Some(claim) => claim.wait(&channel),
+                None => Err(Self::error(&channel)),
+            },
         }
     }
 
@@ -1126,10 +1296,20 @@ impl<T: Send + 'static> ChannelRecv<T> {
     /// channel closed while waiting.
     pub fn wait_timeout(self, timeout: std::time::Duration) -> Result<T, RecvError> {
         cqs_chaos::inject!("channel.recv.timeout-window");
-        let ChannelRecv { inner, channel } = self;
-        match inner.wait_timeout(timeout) {
+        let ChannelRecv {
+            inner,
+            claim,
+            channel,
+        } = self;
+        let (result, fresh) = Self::aborting(&channel, || inner.wait_timeout(timeout));
+        match result {
             Ok(v) => Ok(v),
-            Err(Cancelled) => Err(Self::error(&channel)),
+            Err(Cancelled) => {
+                match fresh.or(claim.into_inner().unwrap_or_else(PoisonError::into_inner)) {
+                    Some(claim) => claim.wait(&channel),
+                    None => Err(Self::error(&channel)),
+                }
+            }
         }
     }
 }
@@ -1142,13 +1322,16 @@ impl<T: Send + 'static> std::future::Future for ChannelRecv<T> {
         cx: &mut std::task::Context<'_>,
     ) -> std::task::Poll<Self::Output> {
         let this = &mut *self;
-        match std::pin::Pin::new(&mut this.inner).poll(cx) {
-            std::task::Poll::Pending => std::task::Poll::Pending,
-            std::task::Poll::Ready(Ok(v)) => std::task::Poll::Ready(Ok(v)),
+        let polled = match std::pin::Pin::new(&mut this.inner).poll(cx) {
             std::task::Poll::Ready(Err(Cancelled)) => {
-                std::task::Poll::Ready(Err(Self::error(&this.channel)))
+                match this.claim.get_mut().unwrap_or_else(PoisonError::into_inner) {
+                    Some(claim) => std::pin::Pin::new(&mut claim.0).poll(cx),
+                    None => std::task::Poll::Ready(Err(Cancelled)),
+                }
             }
-        }
+            other => other,
+        };
+        polled.map(|r| r.map_err(|Cancelled| Self::error(&this.channel)))
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Concurrency bugs in CQS live in tiny windows: a cancellation handler
 //! installing itself while a resumer publishes a value, a segment being
-//! unlinked while a traversal walks over it, an epoch advancing between a
-//! retire and a collect. Wall-clock stress tests hit those windows by luck;
+//! unlinked while a traversal walks over it, a displaced reference retired
+//! while a load is mid-window. Wall-clock stress tests hit those windows by luck;
 //! this crate hits them on purpose.
 //!
 //! Hot paths mark their race windows with [`inject!`]`("label")`. Without
@@ -130,6 +130,7 @@ pub const KNOWN_LABELS: &[&str] = &[
     "channel.deliver.pre-count",
     "channel.deliver.pre-resume",
     "channel.grant.pre-deliver",
+    "channel.recv.cancel.pre-deregister",
     "channel.recv.pre-claim",
     "channel.recv.pre-retrieve",
     "channel.recv.timeout-window",
@@ -163,10 +164,6 @@ pub const KNOWN_LABELS: &[&str] = &[
     "cqs.suspend.pre-close-check",
     "cqs.suspend.pre-counter",
     "cqs.suspend.pre-find",
-    "epoch.advance.pre-cas",
-    "epoch.collect.pre-drain",
-    "epoch.defer.pre-bin",
-    "epoch.pin.publish-window",
     "future.cancel.pre-cas",
     "future.cancel.pre-handler",
     "future.complete.completing-window",
@@ -179,7 +176,6 @@ pub const KNOWN_LABELS: &[&str] = &[
     "future.wait.spin-phase",
     "future.wait.yield-phase",
     "future.wake.fault.pre-fire",
-    "reclaim.hazard.retire.pre-scan",
     "reclaim.owned.retire.pre-scan",
     "segment.append.pre-cas",
     "segment.move-forward.pre-cas",

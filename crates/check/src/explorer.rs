@@ -212,7 +212,6 @@ struct Shared {
     cv: Condvar,
     preemption_bound: usize,
     max_steps: u64,
-    ignored_prefixes: Vec<String>,
 }
 
 impl Shared {
@@ -237,7 +236,6 @@ impl Shared {
             cv: Condvar::new(),
             preemption_bound: explorer.preemption_bound,
             max_steps: explorer.max_steps,
-            ignored_prefixes: explorer.ignored_prefixes.clone(),
         }
     }
 
@@ -322,13 +320,6 @@ impl Shared {
     /// A controlled thread reached the labelled schedule point: yield the
     /// schedule and block until picked again.
     fn point(&self, me: usize, label: &'static str) {
-        if self
-            .ignored_prefixes
-            .iter()
-            .any(|p| label.starts_with(p.as_str()))
-        {
-            return;
-        }
         let mut st = self.state.lock().unwrap();
         if st.free_run {
             return;
@@ -422,12 +413,6 @@ pub struct Explorer {
     /// declared stalled (a program thread blocked outside a schedule
     /// point) and failed.
     pub stall_timeout: Duration,
-    /// Label prefixes that are *not* schedule points. The epoch
-    /// collector's windows are excluded by default: its amortized,
-    /// process-global triggers would make runs nondeterministic across an
-    /// exploration, and PAPERS.md's reclamation-decoupling argument is
-    /// exactly that the model seam should not include the collector.
-    pub ignored_prefixes: Vec<String>,
 }
 
 impl Default for Explorer {
@@ -438,7 +423,6 @@ impl Default for Explorer {
             max_runs: 200_000,
             time_budget: Duration::from_secs(120),
             stall_timeout: Duration::from_secs(30),
-            ignored_prefixes: vec!["epoch.".to_string()],
         }
     }
 }
@@ -758,29 +742,5 @@ mod tests {
         });
         let cx = exploration.counterexample.expect("panic must surface");
         assert!(cx.error.contains("boom"), "got: {}", cx.error);
-    }
-
-    /// Ignored label prefixes are not schedule points.
-    #[test]
-    fn ignored_prefixes_are_transparent() {
-        let _serial = serial();
-        let explorer = Explorer {
-            ignored_prefixes: vec!["noise.".to_string()],
-            preemption_bound: 8,
-            ..Explorer::default()
-        };
-        let exploration = explorer.check_exhaustive(|| {
-            let mut program = Program::new();
-            for _ in 0..2 {
-                program = program.thread(|| {
-                    for _ in 0..50 {
-                        schedule_point("noise.window");
-                    }
-                });
-            }
-            program
-        });
-        // Only the start decision branches: 2 schedules, not 2^100.
-        assert_eq!(exploration.runs, 2);
     }
 }

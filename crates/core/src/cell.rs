@@ -300,7 +300,7 @@ impl<T: Send + 'static> CqsCell<T> {
     /// access, releasing any leftover payload or waiter reference
     /// immediately. Segment recycling calls this on every cell of a
     /// recycled segment; `&mut self` proves no concurrent party can still
-    /// be touching the cell, so no atomics or epoch deferral are needed.
+    /// be touching the cell, so no atomics or deferred release are needed.
     pub(crate) fn reset(&mut self) {
         *self.state.get_mut() = EMPTY;
         *self.payload.get_mut() = None;

@@ -3,7 +3,6 @@
 //! waiter-side spin→yield→park ladder.
 
 use cqs_future::WaitPolicy;
-use cqs_reclaim::ReclaimerKind;
 
 /// How `resume(..)` transfers a value into a cell that `suspend()` has not
 /// reached yet (paper, Appendix B).
@@ -64,10 +63,6 @@ pub struct CqsConfig {
     /// `None` defers to the process-wide [`cqs_future::default_wait_policy`].
     wait_spin: Option<u32>,
     wait_yields: Option<u32>,
-    /// Which memory-reclamation backend guards this queue's segment and
-    /// waiter traversals; `None` resolves the process-wide
-    /// [`cqs_reclaim::default_reclaimer`] at construction time.
-    reclaimer: Option<ReclaimerKind>,
 }
 
 impl CqsConfig {
@@ -91,7 +86,6 @@ impl CqsConfig {
             label: "cqs",
             wait_spin: None,
             wait_yields: None,
-            reclaimer: None,
         }
     }
 
@@ -165,22 +159,6 @@ impl CqsConfig {
     pub fn wait_yields(mut self, yields: u32) -> Self {
         self.wait_yields = Some(yields);
         self
-    }
-
-    /// Selects the memory-reclamation backend for this queue. Every
-    /// operation on the queue acquires its guards from this backend; the
-    /// per-queue stamp means two queues in one process can run different
-    /// backends side by side. Unset, the queue resolves the process-wide
-    /// [`cqs_reclaim::default_reclaimer`] once, at construction.
-    #[must_use]
-    pub fn reclaimer(mut self, kind: ReclaimerKind) -> Self {
-        self.reclaimer = Some(kind);
-        self
-    }
-
-    /// The configured reclamation backend override, if any.
-    pub fn get_reclaimer(&self) -> Option<ReclaimerKind> {
-        self.reclaimer
     }
 
     /// The configured resumption mode.

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cqs_future::{CancellationHandler, CqsFuture, Request, WakeBatch};
-use cqs_reclaim::{pin_with, AtomicArc, Guard, ReclaimerKind};
+use cqs_reclaim::{pin, AtomicArc, Guard};
 use cqs_stats::CachePadded;
 
 use crate::cell::{self, CancelSwap};
@@ -76,11 +76,6 @@ impl<T> Suspend<T> {
 
 struct CqsInner<T: Send + 'static, C: CqsCallbacks<T>> {
     config: CqsConfig,
-    /// The reclamation backend guarding this queue's traversals, resolved
-    /// once at construction (config override or process default). Every
-    /// guard this queue acquires comes from this backend — mixing backends
-    /// on one queue's cells would void their soundness arguments.
-    reclaim: ReclaimerKind,
     /// Watchdog id of this queue (0 when the `watch` feature is off).
     watch_id: u64,
     /// The suspension/resumption counters and their head pointers are each
@@ -151,9 +146,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         Cqs {
             inner: Arc::new(CqsInner {
                 watch_id: cqs_watch::next_primitive_id(config.get_label()),
-                reclaim: config
-                    .get_reclaimer()
-                    .unwrap_or_else(cqs_reclaim::default_reclaimer),
                 config,
                 suspend_idx: CachePadded::new(AtomicU64::new(0)),
                 resume_idx: CachePadded::new(AtomicU64::new(0)),
@@ -392,19 +384,12 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         self.inner.freelist.len()
     }
 
-    /// The reclamation backend this queue resolved at construction
-    /// (explicit [`CqsConfig::reclaimer`] override, else the process-wide
-    /// default at that moment).
-    pub fn reclaimer(&self) -> ReclaimerKind {
-        self.inner.reclaim
-    }
-
     /// The number of segments currently linked into the queue (diagnostics;
     /// a racy snapshot). The paper's memory claim is that this stays
     /// `O(live waiters / SEGM_SIZE)` no matter how many waiters cancelled:
     /// fully-cancelled segments are physically unlinked.
     pub fn live_segments(&self) -> usize {
-        let guard = self.inner.protect();
+        let guard = pin();
         let resume_head = self.inner.resume_segm.load(&guard);
         let suspend_head = self.inner.suspend_segm.load(&guard);
         let mut cur = match (resume_head, suspend_head) {
@@ -426,7 +411,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Drop for Cqs<T, C> {
         // * `next`/`prev` links between neighbouring segments;
         // * `cell.waiter -> Request -> handler -> Arc<Segment>` of waiters
         //   never completed nor cancelled.
-        let guard = self.inner.protect();
+        let guard = pin();
         let resume_head = self.inner.resume_segm.load(&guard);
         let suspend_head = self.inner.suspend_segm.load(&guard);
         let mut cur = match (resume_head, suspend_head) {
@@ -474,14 +459,9 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         self.config.get_segment_size() as u64
     }
 
-    /// Acquires a traversal guard from this queue's reclamation backend.
-    fn protect(&self) -> Guard<'static> {
-        pin_with(self.reclaim)
-    }
-
     fn suspend(&self, self_arc: &Arc<Self>) -> Suspend<T> {
         cqs_stats::bump!(suspends);
-        let guard = self.protect();
+        let guard = pin();
         let n = self.segment_size();
         // Read the head *before* incrementing the counter (paper, Listing
         // 14): this guarantees the target segment is reachable from `start`.
@@ -578,7 +558,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         let simple = self.config.get_cancellation_mode() == CancellationMode::Simple;
         let sync = self.config.get_resume_mode() == ResumeMode::Synchronous;
         'operation: loop {
-            let guard = self.protect();
+            let guard = pin();
             let start = self
                 .resume_segm
                 .load(&guard)
@@ -738,7 +718,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         let reclaim = self.config.get_cancellation_mode() == CancellationMode::Smart;
         let mut wakes = WakeBatch::new();
         let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let guard = self.protect();
+            let guard = pin();
             self.resume_batch(next_value, n, reclaim, &mut wakes, &guard)
         }));
         let (delivered, failed) = match batch {
@@ -803,7 +783,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
             Some(value.clone())
         };
         let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let guard = self.protect();
+            let guard = pin();
             // Cell-coverage semantics: exactly `n` claims, clones minted on
             // demand, skipped cells simply don't mint one — never re-claim
             // (`reclaim = false`), or a broadcast racing cancellations
@@ -1122,7 +1102,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         // relies on to settle waiters — it must itself be total.
         let mut sweep_panic: Option<Box<dyn std::any::Any + Send>> = None;
         {
-            let guard = self.protect();
+            let guard = pin();
             // Any waiter installed before the `closed` store above is
             // reachable from the earlier of the two heads (resumers never
             // move their head past a still-pending waiter); one installed
@@ -1213,7 +1193,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
     /// through the installed handler (paper, Listing 5).
     fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize) {
         cqs_chaos::inject!("cqs.on-waiter-cancelled.entry");
-        let guard = self.protect();
+        let guard = pin();
         let cell = segment.cell(index);
         match self.config.get_cancellation_mode() {
             CancellationMode::Simple => {
@@ -1240,7 +1220,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
                             // A resumer delegated its value to us: pass it to
                             // the next waiter.
                             segment.on_cancelled_cell(&guard);
-                            drop(guard);
                             self.resume(v).unwrap_or_else(|_| {
                                 unreachable!("smart asynchronous resume cannot fail")
                             });

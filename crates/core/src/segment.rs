@@ -9,8 +9,8 @@
 //! Reclamation: in the paper the JVM GC frees unlinked segments. Here the
 //! links are [`AtomicArc`]s, so a segment is deallocated when the last
 //! `Arc` reference — a link, a head pointer, an in-flight traversal, or a
-//! pending request's cancellation handler — goes away (plus an epoch grace
-//! period for displaced link references).
+//! pending request's cancellation handler — goes away (a displaced link
+//! reference is released once no `AtomicArc` load is mid-window).
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -32,16 +32,16 @@ const CANCELLED_MASK: u64 = POINTER_UNIT - 1;
 /// straight back to the allocator; `find_segment`'s tail-append path pops
 /// one and reuses its cell block when it can prove exclusive ownership.
 ///
-/// # Epoch safety
+/// # Reuse safety
 ///
 /// A popped segment is reused only if `Arc::get_mut` succeeds, i.e. its
 /// strong count is exactly the freelist's own reference. Any thread that
 /// could still *reach* the segment — an in-flight traversal holding a
-/// clone, or a loader that read a stale link pointer while pinned (in
-/// which case the displaced link's epoch-deferred release has not run yet,
-/// so that reference is still counted) — keeps the count above one and
-/// vetoes the reuse. Exclusivity therefore cannot race with readers, and
-/// the reset needs no atomics at all.
+/// clone, or a loader still inside its `AtomicArc::load` window on a stale
+/// link pointer (in which case the displaced link's release is parked in
+/// the reclamation limbo, so that reference is still counted) — keeps the
+/// count above one and vetoes the reuse. Exclusivity therefore cannot race
+/// with readers, and the reset needs no atomics at all.
 ///
 /// The owning CQS holds the only `Arc<SegmentFreelist>`; segments point
 /// back with a `Weak` so the list never forms a reference cycle with the
@@ -325,7 +325,7 @@ impl<T: Send + 'static> Segment<T> {
 
     /// Rebuilds a popped freelist segment into a pristine tail segment with
     /// identity `id`. Requires exclusive ownership (`Arc::get_mut`), which
-    /// the epoch argument on [`SegmentFreelist`] turns into freedom from
+    /// the exclusivity argument on [`SegmentFreelist`] turns into freedom from
     /// racing readers — so every reset below is a plain write.
     fn reset_for_reuse(&mut self, id: u64) {
         self.id = id;

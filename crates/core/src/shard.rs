@@ -6,8 +6,8 @@
 //! a shared hot word. The routing key lives here, in the core crate both
 //! primitives already depend on.
 //!
-//! The scheme reuses the TLS participant-cache pattern from the epoch
-//! engine: each OS thread draws a process-wide ordinal from a global
+//! The scheme reuses the TLS home-stripe pattern of `cqs-reclaim`'s
+//! borrow counters: each OS thread draws a process-wide ordinal from a global
 //! counter the first time it asks, caches it in a `thread_local`, and every
 //! sharded primitive derives the thread's home shard as `ordinal % shards`.
 //! Drawing the ordinal once per thread (instead of hashing `ThreadId` per

@@ -659,7 +659,7 @@ fn cancelled_segments_enter_the_recycling_freelist() {
 }
 
 /// Recycled segments are actually reused by later appends once every
-/// outstanding reference (cancelled requests, epoch-deferred unlink drops)
+/// outstanding reference (cancelled requests, deferred unlink drops)
 /// has drained, and a queue running over recycled segments still delivers
 /// values FIFO.
 #[test]
@@ -713,8 +713,8 @@ fn recycled_segments_are_reused_and_preserve_fifo() {
     }
 
     // With stats on, confirm reuse actually fired: 50 waves of removals
-    // give the epoch engine ample activity to drain the deferred unlink
-    // drops that gate exclusive reuse. Under the `watch` feature the
+    // give reclamation ample activity to drain the deferred unlink drops
+    // that gate exclusive reuse. Under the `watch` feature the
     // registry holds strong handles to every request (no scanner runs in
     // tests to prune them), so the exclusivity check rightly vetoes reuse
     // — exactly the conservatism that makes recycling safe.

@@ -193,8 +193,8 @@ struct WakerSlot {
 ///
 /// The batched resumption path in `cqs-core` completes many requests in one
 /// segment traversal; running wakers inline there would execute arbitrary
-/// user callbacks (and `unpark` syscalls) while the resumer still holds an
-/// epoch pin. Instead, [`Request::complete_deferred`] /
+/// user callbacks (and `unpark` syscalls) in the middle of the traversal.
+/// Instead, [`Request::complete_deferred`] /
 /// [`Request::cancel_deferred`] return the extracted handles as a
 /// `PendingWake`, collected into a [`WakeBatch`] and fired after the
 /// traversal ends.

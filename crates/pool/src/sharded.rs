@@ -155,21 +155,10 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> ShardedPool<E, B> {
     ///
     /// Panics if `shards` is zero.
     pub fn with_shards(shards: usize) -> Self {
-        Self::build(shards, None)
+        Self::build(shards)
     }
 
-    /// Creates an empty sharded pool whose shard queues all use the given
-    /// memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`]. Shard count follows
-    /// [`new`](Self::new).
-    pub fn with_reclaimer(reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(
-            cqs_core::shard::default_shard_count(MAX_DEFAULT_SHARDS),
-            Some(reclaimer),
-        )
-    }
-
-    fn build(shards: usize, reclaimer: Option<cqs_core::ReclaimerKind>) -> Self {
+    fn build(shards: usize) -> Self {
         assert!(shards > 0, "a sharded pool needs at least one shard");
         // Divide the default freelist bound across the shards; each keeps
         // at least one slot, so the whole primitive pins at most
@@ -197,7 +186,6 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> ShardedPool<E, B> {
                         "sharded-pool.take",
                         slots,
                         on_refusal,
-                        reclaimer,
                     )
                 })
                 .collect::<Vec<_>>()

@@ -2,39 +2,26 @@
 //!
 //! The cell owns one strong reference to the stored value. Loads clone that
 //! reference (one atomic increment); stores/swaps/CASes replace the pointer
-//! and *retire* the displaced reference through the guard's reclamation
-//! backend. Retiring is what makes [`AtomicArc::load`] sound: between
-//! reading the raw pointer and incrementing the strong count, the cell's
-//! own reference cannot be dropped —
-//!
-//! * under an **epoch** guard, because every thread that could drop it is
-//!   excluded by the loader's pin for the guard's whole lifetime;
-//! * under a **hazard** guard, because the load publishes the pointer in a
-//!   hazard slot and re-validates it, and retire-list scans spare hazarded
-//!   pointers;
-//! * under an **owned** guard, because the load holds a striped borrow
-//!   across the window and retires only proceed (or limbo entries only
-//!   drain) when every stripe reads zero.
-//!
-//! Mixing backends on one cell voids these arguments: all threads
-//! operating on a given cell must present guards of the same kind.
+//! and *retire* the displaced reference. Retiring is what makes
+//! [`AtomicArc::load`] sound: between reading the raw pointer and
+//! incrementing the strong count, the load holds a striped borrow, and a
+//! displaced reference is only released once every stripe has read zero
+//! (see `crate::owned`), so the count cannot drop to zero under the load.
 
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use crate::guard::{GuardInner, Retired};
-use crate::{owned, Guard};
+use crate::owned::{self, Retired};
+use crate::Guard;
 
 /// An atomically swappable `Option<Arc<T>>`.
 ///
 /// All operations are lock-free. Operations that can observe concurrent
-/// modification require a [`Guard`], obtained from [`crate::pin`] (epoch),
-/// [`crate::pin_with`] (any backend) or a [`crate::LocalHandle`]. All
-/// collaborating threads must use the **same** backend on a given cell
-/// (and, for epoch, the same collector — the free function [`crate::pin`]
-/// always uses the default one).
+/// modification take a [`Guard`] from [`crate::pin`]; see its
+/// documentation for the contract on `load_ptr` and `compare_exchange`
+/// pointers.
 ///
 /// # Example
 ///
@@ -101,57 +88,37 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
     }
 
     /// Returns a clone of the stored reference, or `None` if empty.
-    pub fn load(&self, guard: &Guard) -> Option<Arc<T>> {
-        match &guard.inner {
-            GuardInner::Epoch(_) => {
-                let p = self.ptr.load(Ordering::Acquire);
-                if p.is_null() {
-                    return None;
-                }
-                // SAFETY: `p` was produced by `Arc::into_raw` and the
-                // reference the cell held at the moment of the load is
-                // released only through an epoch-deferred drop, which
-                // cannot run while `guard` pins us. The strong count is
-                // therefore >= 1 here.
-                unsafe {
-                    Arc::increment_strong_count(p);
-                    Some(Arc::from_raw(p))
-                }
-            }
-            GuardInner::Hazard(h) => h.load_arc(&self.ptr),
-            GuardInner::Owned(_) => {
-                // The borrow spans the pointer read *and* the strong-count
-                // increment; `_borrow` drops only at scope exit, after the
-                // Arc below is constructed.
-                let _borrow = owned::borrow();
-                // SeqCst (invariant): `R_p` of the owned backend's Dekker
-                // pairing — see `crate::owned` for the full argument.
-                let p = self.ptr.load(Ordering::SeqCst);
-                if p.is_null() {
-                    return None;
-                }
-                // SAFETY: the held borrow forces a concurrent retire of the
-                // cell's reference into limbo, and limbo cannot drain while
-                // any stripe is non-zero. The strong count is >= 1 here.
-                unsafe {
-                    Arc::increment_strong_count(p);
-                    Some(Arc::from_raw(p))
-                }
-            }
+    pub fn load(&self, _guard: &Guard) -> Option<Arc<T>> {
+        // The borrow spans the pointer read *and* the strong-count
+        // increment; `_borrow` drops only at scope exit, after the Arc
+        // below is constructed.
+        let _borrow = owned::borrow();
+        // SeqCst (invariant): `R_p` of the Dekker pairing — see
+        // `crate::owned` for the full argument.
+        let p = self.ptr.load(Ordering::SeqCst);
+        if p.is_null() {
+            return None;
+        }
+        // SAFETY: the held borrow forces a concurrent retire of the cell's
+        // reference into limbo, and limbo cannot drain while any stripe is
+        // non-zero. The strong count is >= 1 here.
+        unsafe {
+            Arc::increment_strong_count(p);
+            Some(Arc::from_raw(p))
         }
     }
 
     /// Replaces the stored reference with `value`, releasing the previous
-    /// reference once the guard's backend proves no reader can hold it.
-    pub fn store(&self, value: Option<Arc<T>>, guard: &Guard) {
-        let old = self.ptr.swap(into_ptr(value), write_ordering(guard));
-        retire_displaced(old, guard);
+    /// reference once no load can still be incrementing it.
+    pub fn store(&self, value: Option<Arc<T>>, _guard: &Guard) {
+        let old = self.ptr.swap(into_ptr(value), WRITE);
+        retire_displaced(old);
     }
 
     /// Replaces the stored reference with `value` and returns the previous
     /// one.
-    pub fn swap(&self, value: Option<Arc<T>>, guard: &Guard) -> Option<Arc<T>> {
-        let old = self.ptr.swap(into_ptr(value), write_ordering(guard));
+    pub fn swap(&self, value: Option<Arc<T>>, _guard: &Guard) -> Option<Arc<T>> {
+        let old = self.ptr.swap(into_ptr(value), WRITE);
         if old.is_null() {
             return None;
         }
@@ -162,7 +129,7 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
             Arc::increment_strong_count(old);
             Arc::from_raw(old)
         };
-        retire_displaced(old, guard);
+        retire_displaced(old);
         Some(result)
     }
 
@@ -178,17 +145,15 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
         &self,
         current: *const T,
         new: Option<Arc<T>>,
-        guard: &Guard,
+        _guard: &Guard,
     ) -> Result<(), Option<Arc<T>>> {
         let new_ptr = into_ptr(new);
-        match self.ptr.compare_exchange(
-            current as *mut T,
-            new_ptr,
-            write_ordering(guard),
-            Ordering::Acquire,
-        ) {
+        match self
+            .ptr
+            .compare_exchange(current as *mut T, new_ptr, WRITE, Ordering::Acquire)
+        {
             Ok(old) => {
-                retire_displaced(old, guard);
+                retire_displaced(old);
                 Ok(())
             }
             Err(_) => {
@@ -219,8 +184,7 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
     ///
     /// Unlike [`AtomicArc::store`] this needs no guard and defers nothing:
     /// `&mut self` proves no concurrent loader can be racing the release.
-    /// Segment recycling uses this to reset link cells without feeding the
-    /// epoch engine.
+    /// Segment recycling uses this to reset link cells without a retire.
     pub fn clear_mut(&mut self) {
         let p = std::mem::replace(self.ptr.get_mut(), ptr::null_mut());
         if !p.is_null() {
@@ -230,17 +194,10 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
     }
 }
 
-/// Ordering for the pointer write of store/swap/CAS. The owned backend's
-/// soundness argument places the displacing write in the SeqCst total
-/// order against loader borrows (see `crate::owned`); the epoch and
-/// hazard backends need only AcqRel (their pairings go through the pin
-/// fence and the hazard publish/scan fences respectively).
-fn write_ordering(guard: &Guard) -> Ordering {
-    match &guard.inner {
-        GuardInner::Owned(_) => Ordering::SeqCst,
-        _ => Ordering::AcqRel,
-    }
-}
+/// Ordering for the pointer write of store/swap/CAS: `W_p` of the Dekker
+/// pairing in `crate::owned`, which places the displacing write in the
+/// SeqCst total order against loader borrows.
+const WRITE: Ordering = Ordering::SeqCst;
 
 /// Monomorphized releaser for a displaced cell reference.
 ///
@@ -253,29 +210,13 @@ unsafe fn release_arc<T: Send + Sync>(p: *mut ()) {
     unsafe { drop(Arc::from_raw(p as *const T)) }
 }
 
-fn retire_displaced<T: Send + Sync + 'static>(old: *mut T, guard: &Guard) {
+fn retire_displaced<T: Send + Sync + 'static>(old: *mut T) {
     if old.is_null() {
         return;
     }
-    match &guard.inner {
-        GuardInner::Epoch(g) => {
-            let old = old as usize;
-            g.defer_boxed(Box::new(move || {
-                // SAFETY: this reference was owned by the cell and displaced
-                // by the operation that deferred us; nothing else releases
-                // it.
-                unsafe { drop(Arc::from_raw(old as *const T)) }
-            }));
-        }
-        // SAFETY (both arms): the displaced reference is owned by this
-        // retire, and `release_arc::<T>` matches the pointer's true type.
-        GuardInner::Hazard(h) => {
-            crate::hazard::retire(h, unsafe { Retired::new(old as *mut (), release_arc::<T>) });
-        }
-        GuardInner::Owned(_) => {
-            owned::retire(unsafe { Retired::new(old as *mut (), release_arc::<T>) });
-        }
-    }
+    // SAFETY: the displaced reference is owned by this retire, and
+    // `release_arc::<T>` matches the pointer's true type.
+    owned::retire(unsafe { Retired::new(old as *mut (), release_arc::<T>) });
 }
 
 impl<T> Drop for AtomicArc<T> {
@@ -304,7 +245,7 @@ impl<T> std::fmt::Debug for AtomicArc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pin, Collector};
+    use crate::{flush, pin};
     use std::sync::atomic::AtomicUsize;
 
     struct Tracked {
@@ -380,135 +321,26 @@ mod tests {
     #[test]
     fn every_reference_is_eventually_dropped() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let collector = Collector::new();
-        let handle = collector.register();
-        {
-            let cell = AtomicArc::new(Some(Arc::new(Tracked {
-                value: 0,
+        let tracked = |value| {
+            Some(Arc::new(Tracked {
+                value,
                 drops: Arc::clone(&drops),
-            })));
+            }))
+        };
+        {
+            let cell = AtomicArc::new(tracked(0));
             for i in 1..100usize {
-                let guard = handle.pin();
+                let guard = pin();
                 let loaded = cell.load(&guard).unwrap();
                 assert_eq!(loaded.value, i - 1);
-                cell.store(
-                    Some(Arc::new(Tracked {
-                        value: i,
-                        drops: Arc::clone(&drops),
-                    })),
-                    &guard,
-                );
+                cell.store(tracked(i), &guard);
+                let p = cell.load_ptr(&guard);
+                assert!(cell.compare_exchange(p, tracked(i), &guard).is_ok());
             }
             drop(cell);
         }
-        collector.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn all_backends_round_trip_and_reclaim() {
-        use crate::{flush_reclaimer, pin_with, ReclaimerKind};
-        for kind in ReclaimerKind::ALL {
-            let drops = Arc::new(AtomicUsize::new(0));
-            {
-                let cell = AtomicArc::new(Some(Arc::new(Tracked {
-                    value: 0,
-                    drops: Arc::clone(&drops),
-                })));
-                for i in 1..100usize {
-                    let guard = pin_with(kind);
-                    let loaded = cell.load(&guard).unwrap();
-                    assert_eq!(loaded.value, i - 1, "backend {kind}");
-                    cell.store(
-                        Some(Arc::new(Tracked {
-                            value: i,
-                            drops: Arc::clone(&drops),
-                        })),
-                        &guard,
-                    );
-                    let p = cell.load_ptr(&guard);
-                    assert!(cell
-                        .compare_exchange(
-                            p,
-                            Some(Arc::new(Tracked {
-                                value: i,
-                                drops: Arc::clone(&drops),
-                            })),
-                            &guard,
-                        )
-                        .is_ok());
-                }
-                drop(cell);
-            }
-            for _ in 0..50 {
-                if drops.load(Ordering::SeqCst) == 199 {
-                    break;
-                }
-                flush_reclaimer(kind);
-                std::thread::yield_now();
-            }
-            assert_eq!(
-                drops.load(Ordering::SeqCst),
-                199,
-                "backend {kind} leaked or double-dropped"
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_stress_on_hazard_and_owned_backends() {
-        use crate::{flush_reclaimer, pin_with, ReclaimerKind};
-        const THREADS: usize = 4;
-        const OPS: usize = 2_000;
-        for kind in [ReclaimerKind::Hazard, ReclaimerKind::Owned] {
-            let drops = Arc::new(AtomicUsize::new(0));
-            let created = Arc::new(AtomicUsize::new(0));
-            let cell = Arc::new(AtomicArc::new(Some(Arc::new(Tracked {
-                value: usize::MAX,
-                drops: Arc::clone(&drops),
-            }))));
-            created.fetch_add(1, Ordering::SeqCst);
-            let mut joins = Vec::new();
-            for t in 0..THREADS {
-                let cell = Arc::clone(&cell);
-                let drops = Arc::clone(&drops);
-                let created = Arc::clone(&created);
-                joins.push(std::thread::spawn(move || {
-                    for i in 0..OPS {
-                        let guard = pin_with(kind);
-                        if (i + t) % 3 == 0 {
-                            created.fetch_add(1, Ordering::SeqCst);
-                            cell.swap(
-                                Some(Arc::new(Tracked {
-                                    value: i,
-                                    drops: Arc::clone(&drops),
-                                })),
-                                &guard,
-                            );
-                        } else {
-                            let v = cell.load(&guard).expect("cell never empty");
-                            assert!(v.value == usize::MAX || v.value < OPS);
-                        }
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            drop(cell);
-            for _ in 0..100 {
-                if drops.load(Ordering::SeqCst) == created.load(Ordering::SeqCst) {
-                    break;
-                }
-                flush_reclaimer(kind);
-                std::thread::yield_now();
-            }
-            assert_eq!(
-                drops.load(Ordering::SeqCst),
-                created.load(Ordering::SeqCst),
-                "backend {kind} leaked or double-dropped references"
-            );
-        }
+        flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 199);
     }
 
     #[test]
@@ -517,7 +349,6 @@ mod tests {
         const OPS: usize = 5_000;
         let drops = Arc::new(AtomicUsize::new(0));
         let created = Arc::new(AtomicUsize::new(0));
-        let collector = Arc::new(Collector::new());
         let cell = Arc::new(AtomicArc::new(Some(Arc::new(Tracked {
             value: usize::MAX,
             drops: Arc::clone(&drops),
@@ -529,11 +360,9 @@ mod tests {
             let cell = Arc::clone(&cell);
             let drops = Arc::clone(&drops);
             let created = Arc::clone(&created);
-            let collector = Arc::clone(&collector);
             joins.push(std::thread::spawn(move || {
-                let handle = collector.register();
                 for i in 0..OPS {
-                    let guard = handle.pin();
+                    let guard = pin();
                     if (i + t) % 3 == 0 {
                         created.fetch_add(1, Ordering::SeqCst);
                         cell.swap(
@@ -556,8 +385,8 @@ mod tests {
         }
         drop(cell);
         // `cell` was shared via Arc; the inner AtomicArc has been dropped by
-        // the last owner above. Flush deferred releases.
-        collector.flush();
+        // the last owner above. Flush the releases still in limbo.
+        flush();
         assert_eq!(
             drops.load(Ordering::SeqCst),
             created.load(Ordering::SeqCst),

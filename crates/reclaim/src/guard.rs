@@ -1,159 +1,46 @@
-//! The backend-polymorphic [`Guard`] and the type-erased retired-object
-//! representation shared by the hazard-pointer and owned-slot backends.
+//! The [`Guard`] token every [`crate::AtomicArc`] operation demands.
 //!
-//! A `Guard` is the witness every [`crate::AtomicArc`] operation demands.
-//! What the witness actually *means* differs per backend:
-//!
-//! * **Epoch** — the classic meaning: the thread is pinned, and no memory
-//!   retired by a same-epoch thread is freed while the guard lives.
-//!   Protection spans the guard's whole lifetime.
-//! * **Hazard** — the guard is only a handle to the thread's hazard-pointer
-//!   record. Protection is *per pointer load*: each `AtomicArc::load`
-//!   publishes the candidate pointer in a hazard slot, validates it, takes
-//!   its own strong reference and clears the slot before returning.
-//! * **Owned** — the guard is a pure token (its acquisition performs no
-//!   atomic operation at all; see `guard_elisions` in `cqs-stats`).
-//!   Protection is again per load, through a striped borrow counter that
-//!   is held only for the few instructions between reading the raw pointer
-//!   and incrementing the strong count.
+//! A guard is a zero-sized witness: acquiring one performs no atomic
+//! operation at all (see `guard_elisions` in `cqs-stats`), and holding one
+//! protects nothing. Protection is *per pointer load* instead: each
+//! `AtomicArc::load` takes a striped borrow that is held only for the few
+//! instructions between reading the raw pointer and incrementing the
+//! strong count (see `crate::owned`). A stalled guard therefore delays no
+//! reclamation; only a thread stalled *inside* a load does.
 //!
 //! This is sound for the CQS stack because of an invariant the whole
 //! workspace upholds: **every value an `AtomicArc` operation returns is an
 //! owned `Arc`**, so nothing needs protection beyond the in-operation
-//! window. Code must not cache a raw pointer from `load_ptr` and
-//! dereference it later under any backend (it never could under epoch
-//! either, once the guard dropped).
-
-use crate::epoch::EpochGuard;
-use crate::hazard::HazardGuard;
-use crate::owned::OwnedGuard;
-use crate::reclaimer::ReclaimerKind;
+//! window. Two consequences for callers:
+//!
+//! * a raw pointer from `load_ptr` must never be dereferenced — it is good
+//!   for identity checks only;
+//! * the expected pointer of a `compare_exchange` must be null or the
+//!   address of an `Arc` the caller owns. An owned `Arc` keeps its
+//!   allocation alive, so the address cannot be freed and reused by a
+//!   different object between the caller's read and its CAS (no ABA).
+//!   Every caller in the workspace (`cqs-core`'s segment list, the pool
+//!   backends, `cqs-watch`'s registry and the AQS/CLH/MCS/legacy
+//!   baselines) compares only against `Arc::as_ptr` of a reference it
+//!   holds, or against null.
 
 /// Witness that the current thread may operate on [`crate::AtomicArc`]
-/// cells, with backend-specific protection semantics (see the module
-/// documentation). Obtain one from [`crate::pin`] (epoch),
-/// [`crate::pin_with`] (any backend) or a [`crate::LocalHandle`].
-///
-/// All threads collaborating on one cell must use guards of the **same**
-/// backend (and, for epoch, the same collector): the load protocol of one
-/// backend only synchronizes with the retire protocol of the same backend.
-pub struct Guard<'a> {
-    pub(crate) inner: GuardInner<'a>,
+/// cells. Obtain one from [`crate::pin`]; it is free to create, drop and
+/// hold for any length of time (see the module documentation).
+#[derive(Debug)]
+pub struct Guard {
+    _token: (),
 }
 
-pub(crate) enum GuardInner<'a> {
-    Epoch(EpochGuard<'a>),
-    Hazard(HazardGuard),
-    #[allow(dead_code)] // the token is carried for uniformity; never read
-    Owned(OwnedGuard),
-}
-
-impl<'a> Guard<'a> {
-    pub(crate) fn from_epoch(inner: EpochGuard<'a>) -> Self {
-        Guard {
-            inner: GuardInner::Epoch(inner),
-        }
+impl Guard {
+    pub(crate) const fn new() -> Self {
+        Guard { _token: () }
     }
 
-    /// Which reclamation backend issued this guard.
-    pub fn kind(&self) -> ReclaimerKind {
-        match &self.inner {
-            GuardInner::Epoch(_) => ReclaimerKind::Epoch,
-            GuardInner::Hazard(_) => ReclaimerKind::Hazard,
-            GuardInner::Owned(_) => ReclaimerKind::Owned,
-        }
-    }
-
-    /// Defers `f` until the backend can prove no concurrent reader is
-    /// still inside a protected window that predates this call.
-    ///
-    /// * **Epoch**: runs after a full grace period — once every thread
-    ///   pinned at the time of this call has unpinned (the historical
-    ///   `Guard::defer` contract).
-    /// * **Owned**: runs once the striped borrow counters have all been
-    ///   observed at zero, i.e. no load is mid-window. Owned guards
-    ///   themselves do not delay it — their lifetime carries no
-    ///   protection.
-    /// * **Hazard**: runs at the next retire-list scan. Hazard protection
-    ///   is keyed by *pointer*, and a closure has no pointer a reader
-    ///   could have published, so only callers whose protection went
-    ///   through `AtomicArc` loads (which take strong references) may use
-    ///   this with a hazard guard.
+    /// Defers `f` until no load that could have observed state from
+    /// before this call is still mid-window; [`crate::flush`] runs it at
+    /// the latest. Guards themselves never delay it.
     pub fn defer<F: FnOnce() + Send + 'static>(&self, f: F) {
-        match &self.inner {
-            GuardInner::Epoch(g) => g.defer_boxed(Box::new(f)),
-            GuardInner::Hazard(g) => crate::hazard::retire(g, Retired::from_closure(Box::new(f))),
-            GuardInner::Owned(_) => crate::owned::retire(Retired::from_closure(Box::new(f))),
-        }
-    }
-}
-
-impl std::fmt::Debug for Guard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Guard").field("kind", &self.kind()).finish()
-    }
-}
-
-/// A type-erased retired object: a thin pointer plus the monomorphized
-/// function that releases it. Two machine words, no allocation — this is
-/// what lets the hazard and owned backends retire displaced `Arc`
-/// references without the per-item `Box<dyn FnOnce>` the epoch engine
-/// pays.
-pub(crate) struct Retired {
-    ptr: *mut (),
-    drop_fn: unsafe fn(*mut ()),
-}
-
-// SAFETY: a `Retired` is a closed package of (pointer, releaser) whose
-// pointee is always `Send + Sync` (it is either an `Arc` payload that the
-// originating `AtomicArc<T: Send + Sync>` owned, or a boxed `FnOnce + Send`
-// closure), so shipping it to whichever thread performs the reclamation is
-// sound.
-unsafe impl Send for Retired {}
-
-impl Retired {
-    /// Packages `ptr` with its releaser.
-    ///
-    /// # Safety
-    ///
-    /// `drop_fn(ptr)` must be sound to call exactly once, from any thread,
-    /// at any later time no protected reader overlaps.
-    pub(crate) unsafe fn new(ptr: *mut (), drop_fn: unsafe fn(*mut ())) -> Self {
-        Retired { ptr, drop_fn }
-    }
-
-    /// Wraps a deferred closure as a retired object (double-boxed so the
-    /// erased pointer is thin).
-    pub(crate) fn from_closure(f: Box<dyn FnOnce() + Send>) -> Self {
-        unsafe fn run(p: *mut ()) {
-            // SAFETY: `p` came from `Box::into_raw` below and is consumed
-            // exactly once.
-            let f = unsafe { Box::from_raw(p as *mut Box<dyn FnOnce() + Send>) };
-            f();
-        }
-        let thin = Box::into_raw(Box::new(f));
-        Retired {
-            ptr: thin as *mut (),
-            drop_fn: run,
-        }
-    }
-
-    /// The retired pointer, for hazard-set membership tests. Closure
-    /// entries expose their private box pointer, which no reader can ever
-    /// have published — they simply never match a hazard.
-    pub(crate) fn ptr(&self) -> *mut () {
-        self.ptr
-    }
-
-    /// Releases the object.
-    ///
-    /// # Safety
-    ///
-    /// The backend must have established that no protected reader from
-    /// before the object was retired can still dereference `ptr`.
-    pub(crate) unsafe fn reclaim(self) {
-        // SAFETY: forwarded contract; `new`/`from_closure` guarantee the
-        // (ptr, drop_fn) pairing is the original one.
-        unsafe { (self.drop_fn)(self.ptr) }
+        crate::owned::retire(crate::owned::Retired::from_closure(Box::new(f)));
     }
 }

@@ -1,63 +1,74 @@
 #![warn(missing_docs)]
 
-//! Pluggable memory reclamation and atomically swappable [`std::sync::Arc`] cells.
+//! GC-free memory reclamation and atomically swappable [`std::sync::Arc`] cells.
 //!
 //! The CQS paper assumes a garbage-collected runtime (the JVM): segments of
 //! the waiter queue are unlinked with plain pointer manipulation and the
 //! collector frees them once unreachable. A Rust reproduction must supply the
-//! reclamation story itself. This crate provides it behind the [`Reclaimer`]
-//! seam, with three interchangeable backends:
+//! reclamation story itself. This crate does it with one **owned-slot**
+//! scheme that exploits CQS structure: every value an [`AtomicArc`]
+//! operation returns is an owned `Arc`, so the only window that needs
+//! protection is the few instructions inside [`AtomicArc::load`] between
+//! reading the raw pointer and incrementing the strong count. Loads cover
+//! that window with a striped borrow counter; a displaced reference is
+//! dropped on the spot when no load is mid-window, and otherwise parks in a
+//! small limbo list until one is not.
 //!
-//! * an **epoch-based reclamation engine** ([`Collector`], [`pin`]) in the
-//!   style of classic epoch schemes: three logical epochs, per-thread
-//!   participants, and deferred destruction that runs only after every
-//!   thread pinned in an older epoch has moved on — the default;
-//! * a **hazard-pointer backend** ([`ReclaimerKind::Hazard`]): per-thread
-//!   hazard slots published around each pointer load, retire lists scanned
-//!   against them — *bounded* garbage even when a thread stalls mid-pin;
-//! * a GC-free **owned-slot backend** ([`ReclaimerKind::Owned`]) exploiting
-//!   CQS structure: guards are free tokens, loads take a transient striped
-//!   borrow, and displaced references are usually dropped on the spot.
-//!
-//! On top of whichever backend a [`Guard`] came from sits [`AtomicArc`], a
-//! lock-free cell holding an `Option<Arc<T>>` that can be loaded, stored,
-//! swapped and compare-exchanged concurrently; displaced references are
-//! retired through the guard's backend, so a concurrent [`AtomicArc::load`]
-//! can always safely increment the reference count it observed.
+//! Consequently a [`Guard`] from [`pin`] is a free, zero-sized token, and a
+//! thread that stalls while holding one delays no reclamation at all.
+//! [`flush`] returns only after everything retired before the call has been
+//! released.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
-//! use cqs_reclaim::{pin, pin_with, AtomicArc, ReclaimerKind};
+//! use cqs_reclaim::{pin, AtomicArc};
 //!
 //! let cell = AtomicArc::new(Some(Arc::new(1)));
-//! let guard = pin(); // epoch, the default backend
+//! let guard = pin();
 //! let old = cell.swap(Some(Arc::new(2)), &guard);
 //! assert_eq!(*old.unwrap(), 1);
 //! assert_eq!(*cell.load(&guard).unwrap(), 2);
-//!
-//! // A different cell can use a different backend — all threads touching
-//! // one cell must agree on it.
-//! let owned_cell = AtomicArc::new(Some(Arc::new(3)));
-//! let guard = pin_with(ReclaimerKind::Owned);
-//! assert_eq!(*owned_cell.load(&guard).unwrap(), 3);
 //! ```
 
 mod atomic_arc;
-mod epoch;
 mod guard;
-mod hazard;
 mod owned;
-mod reclaimer;
 
 pub use atomic_arc::AtomicArc;
-pub use epoch::{flush, pin, Collector, LocalHandle};
 pub use guard::Guard;
-pub use reclaimer::{
-    default_reclaimer, flush_reclaimer, pin_with, reclaimer, retired_approx, set_default_reclaimer,
-    EpochReclaimer, HazardReclaimer, OwnedReclaimer, Reclaimer, ReclaimerKind,
-};
+pub use owned::{flush, pin};
+
+/// Read-only descriptor of the reclamation scheme, for reports and
+/// gauges that name it. There is exactly one scheme; this is not a
+/// selector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Backend;
+
+impl Backend {
+    /// The scheme's name as it appears in reports: `"owned"`.
+    pub fn name(self) -> &'static str {
+        "owned"
+    }
+}
+
+/// The reclamation scheme in use (always the owned-slot one).
+pub fn default_reclaimer() -> Backend {
+    Backend
+}
+
+/// Same as [`flush`]; kept for report tooling that names the backend.
+pub fn flush_reclaimer(_: Backend) {
+    flush()
+}
+
+/// Approximate number of retired-but-unreclaimed objects (the limbo
+/// length). This is the gauge `cqs-watch` publishes so garbage growth is
+/// observable.
+pub fn retired_approx(_: Backend) -> usize {
+    owned::retired_approx()
+}
 
 #[cfg(test)]
 mod tests {
@@ -69,31 +80,26 @@ mod tests {
     fn send_sync_bounds() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AtomicArc<u32>>();
-        assert_send_sync::<Collector>();
-    }
-
-    struct DropCounter(Arc<AtomicUsize>);
-    impl Drop for DropCounter {
-        fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
     }
 
     #[test]
     fn deferred_drop_runs_exactly_once() {
-        let collector = Collector::new();
         let drops = Arc::new(AtomicUsize::new(0));
-        let handle = collector.register();
         {
-            let guard = handle.pin();
-            let counter = DropCounter(Arc::clone(&drops));
-            guard.defer(move || drop(counter));
+            let guard = pin();
+            let drops = Arc::clone(&drops);
+            guard.defer(move || {
+                drops.fetch_add(1, Ordering::SeqCst);
+            });
         }
-        // Re-pinning repeatedly advances the epoch and flushes garbage.
-        for _ in 0..64 {
-            drop(handle.pin());
-        }
-        collector.flush();
+        flush();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+        flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn descriptor_names_the_owned_scheme() {
+        assert_eq!(default_reclaimer().name(), "owned");
     }
 }

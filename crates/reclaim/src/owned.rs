@@ -1,4 +1,4 @@
-//! The GC-free **owned-slot** reclamation backend.
+//! The GC-free **owned-slot** reclamation scheme.
 //!
 //! CQS structure makes almost all reclamation trivial: a segment is
 //! physically freed by the unique thread that unlinks it (the refcounted
@@ -10,15 +10,14 @@
 //! and incrementing the strong count: if the cell's own reference is
 //! dropped right then, the increment touches freed memory.
 //!
-//! This backend protects exactly that window and nothing else. Guard
+//! This scheme protects exactly that window and nothing else. Guard
 //! acquisition is a no-op (counted as `guard_elisions`); each load instead
 //! holds a **striped borrow counter** for the duration of the window. A
 //! retirer that displaces a reference scans the stripes once: if all are
 //! zero, *no load anywhere in the process is mid-window*, so the displaced
-//! reference is dropped immediately — the GC-free fast path that also
-//! skips the epoch engine's global mutex and per-item closure allocation.
-//! Otherwise the reference parks in a small limbo list that is drained the
-//! next time the stripes read zero.
+//! reference is dropped immediately — no global lock, no per-item closure
+//! allocation. Otherwise the reference parks in a small limbo list that is
+//! drained the next time the stripes read zero.
 //!
 //! # Why the stripe scan is sound (store-buffer / Dekker argument)
 //!
@@ -36,16 +35,21 @@
 //! window after the scan can only read the *new* pointer — `W_p <S W_b`
 //! implies `W_p <S R_p` — so they never see the retired one.
 //!
+//! The argument is per stripe: each stripe read is its own `R_b`, so the
+//! stripes need not read zero *simultaneously*. [`flush`] relies on this —
+//! it waits for each stripe to be seen at zero once, in turn, which loads
+//! that start after the call cannot postpone.
+//!
 //! An address recycled by the allocator cannot bite either: the limbo/
 //! immediate drop only releases the *cell's* reference; memory is freed
 //! only when the strong count hits zero, which the scan has just proven no
 //! in-window reader can be about to increment.
 
-use crate::guard::Retired;
+use crate::guard::Guard;
 use cqs_stats::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// Number of borrow-counter stripes. Loads pick a per-thread home stripe,
 /// so up to this many threads can sit in load windows without contending
@@ -58,12 +62,71 @@ const STRIPES: usize = 8;
 /// which are nanoseconds — not guard lifetimes).
 const LIMBO_DRAIN_THRESHOLD: usize = 32;
 
+/// A type-erased retired object: a thin pointer plus the monomorphized
+/// function that releases it. Two machine words, no allocation for
+/// displaced `Arc` references.
+pub(crate) struct Retired {
+    ptr: *mut (),
+    drop_fn: unsafe fn(*mut ()),
+}
+
+// SAFETY: a `Retired` is a closed package of (pointer, releaser) whose
+// pointee is always `Send + Sync` (it is either an `Arc` payload that the
+// originating `AtomicArc<T: Send + Sync>` owned, or a boxed `FnOnce + Send`
+// closure), so shipping it to whichever thread performs the reclamation is
+// sound.
+unsafe impl Send for Retired {}
+
+impl Retired {
+    /// Packages `ptr` with its releaser.
+    ///
+    /// # Safety
+    ///
+    /// `drop_fn(ptr)` must be sound to call exactly once, from any thread,
+    /// at any later time no protected reader overlaps.
+    pub(crate) unsafe fn new(ptr: *mut (), drop_fn: unsafe fn(*mut ())) -> Self {
+        Retired { ptr, drop_fn }
+    }
+
+    /// Wraps a deferred closure as a retired object (double-boxed so the
+    /// erased pointer is thin).
+    pub(crate) fn from_closure(f: Box<dyn FnOnce() + Send>) -> Self {
+        unsafe fn run(p: *mut ()) {
+            // SAFETY: `p` came from `Box::into_raw` below and is consumed
+            // exactly once.
+            let f = unsafe { Box::from_raw(p as *mut Box<dyn FnOnce() + Send>) };
+            f();
+        }
+        let thin = Box::into_raw(Box::new(f));
+        Retired {
+            ptr: thin as *mut (),
+            drop_fn: run,
+        }
+    }
+
+    /// Releases the object.
+    ///
+    /// # Safety
+    ///
+    /// No load from before the object was retired may still be inside its
+    /// pointer-read → strong-count-increment window.
+    unsafe fn reclaim(self) {
+        // SAFETY: forwarded contract; `new`/`from_closure` guarantee the
+        // (ptr, drop_fn) pairing is the original one.
+        unsafe { (self.drop_fn)(self.ptr) }
+    }
+}
+
 struct OwnedDomain {
     stripes: [CachePadded<AtomicUsize>; STRIPES],
     limbo: Mutex<Vec<Retired>>,
     /// Mirror of `limbo.len()` readable without the lock, for the cheap
     /// "anything to drain?" check and the watchdog gauge.
     limbo_len: AtomicUsize,
+    /// Held by a drain from taking the limbo until its entries are
+    /// reclaimed or put back, so [`flush`] never overlooks entries another
+    /// thread has taken out but not yet released.
+    drain: Mutex<()>,
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
@@ -73,6 +136,7 @@ static DOMAIN: OwnedDomain = OwnedDomain {
     stripes: [STRIPE_ZERO; STRIPES],
     limbo: Mutex::new(Vec::new()),
     limbo_len: AtomicUsize::new(0),
+    drain: Mutex::new(()),
 };
 
 /// Round-robin assignment of home stripes to threads.
@@ -99,13 +163,17 @@ fn home_stripe() -> usize {
         .unwrap_or(0)
 }
 
-/// The owned-slot guard: a pure token. Acquisition and drop perform no
-/// atomic operation; protection lives in [`borrow`] inside each load.
-pub(crate) struct OwnedGuard;
+/// The limbo list, surviving a panic in some other holder (a reclaimed
+/// destructor never runs under this lock, so the list is always intact).
+fn limbo() -> MutexGuard<'static, Vec<Retired>> {
+    DOMAIN.limbo.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-pub(crate) fn protect() -> OwnedGuard {
+/// Acquires a guard. Free: no atomic operation, no thread registration.
+/// Protection lives in each `AtomicArc::load` (see the module docs).
+pub fn pin() -> Guard {
     cqs_stats::bump!(guard_elisions);
-    OwnedGuard
+    Guard::new()
 }
 
 /// RAII borrow of the calling thread's home stripe, held across the
@@ -150,71 +218,103 @@ pub(crate) fn retire(entry: Retired) {
         unsafe { entry.reclaim() };
         cqs_stats::bump!(retired_reclaimed);
         if DOMAIN.limbo_len.load(Ordering::Relaxed) > 0 {
-            try_drain(false);
+            try_drain();
         }
     } else {
-        let mut limbo = DOMAIN.limbo.lock().unwrap();
+        let mut limbo = limbo();
         limbo.push(entry);
         DOMAIN.limbo_len.store(limbo.len(), Ordering::Relaxed);
         let drain_now = limbo.len() >= LIMBO_DRAIN_THRESHOLD;
         drop(limbo);
+        cqs_stats::bump!(epoch_defers);
         if drain_now {
-            try_drain(false);
+            try_drain();
         }
     }
 }
 
-/// Attempts to drain the limbo. Entries are taken out under the lock and
-/// reclaimed *outside* it: reclamation can cascade (dropping a segment
-/// drops a queue's cells, which may retire further references) and the
-/// limbo mutex is not reentrant.
+/// Takes the whole limbo out. The caller must hold `DOMAIN.drain`.
 ///
-/// Taking the entries first is what makes the subsequent stripe scan
-/// sound for them: an entry in limbo at take time had its displacing swap
-/// ordered (via the limbo mutex) before our scan, so the module's Dekker
+/// Taking the entries first is what makes a subsequent stripe scan sound
+/// for them: an entry in limbo at take time had its displacing swap
+/// ordered (via the limbo mutex) before that scan, so the module's Dekker
 /// argument applies with the scan playing `R_b`.
-fn try_drain(block: bool) {
-    let taken = {
-        let limbo = if block {
-            Some(DOMAIN.limbo.lock().unwrap())
-        } else {
-            DOMAIN.limbo.try_lock().ok()
-        };
-        let Some(mut limbo) = limbo else { return };
-        if limbo.is_empty() {
-            return;
-        }
-        let taken = std::mem::take(&mut *limbo);
-        DOMAIN.limbo_len.store(0, Ordering::Relaxed);
-        taken
+fn take_limbo() -> Vec<Retired> {
+    let mut limbo = limbo();
+    DOMAIN.limbo_len.store(0, Ordering::Relaxed);
+    std::mem::take(&mut *limbo)
+}
+
+/// Reclaims entries taken out of the limbo, *outside* the limbo lock:
+/// reclamation can cascade (dropping a segment drops a queue's cells,
+/// which may retire further references) and the limbo mutex is not
+/// reentrant.
+///
+/// # Safety
+///
+/// Every stripe must have been observed at zero after `taken` was taken.
+unsafe fn reclaim_all(taken: Vec<Retired>) {
+    let _n = taken.len();
+    for entry in taken {
+        // SAFETY: forwarded contract.
+        unsafe { entry.reclaim() };
+    }
+    cqs_stats::bump!(retired_reclaimed, _n);
+}
+
+/// Opportunistic drain: frees the limbo if no load is mid-window right
+/// now, else leaves it for a later retire. Never blocks — if another
+/// drain (or a [`flush`], or a cascade of this thread's own drain) is in
+/// progress, it simply returns.
+fn try_drain() {
+    let _drain = match DOMAIN.drain.try_lock() {
+        Ok(g) => g,
+        Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        Err(TryLockError::WouldBlock) => return,
     };
+    let taken = take_limbo();
+    if taken.is_empty() {
+        return;
+    }
     if stripes_all_zero() {
-        let _n = taken.len();
-        for entry in taken {
-            // SAFETY: see the function documentation.
-            unsafe { entry.reclaim() };
-        }
-        cqs_stats::bump!(retired_reclaimed, _n);
+        // SAFETY: the scan above followed the take.
+        unsafe { reclaim_all(taken) };
     } else {
         // A load is mid-window somewhere: put everything back untouched.
-        let mut limbo = DOMAIN.limbo.lock().unwrap();
+        let mut limbo = limbo();
         limbo.extend(taken);
         DOMAIN.limbo_len.store(limbo.len(), Ordering::Relaxed);
     }
 }
 
-/// Aggressively drains the limbo; frees everything if no load is
-/// concurrently mid-window. The owned-slot counterpart of
-/// [`crate::flush`].
-pub(crate) fn flush() {
-    // A couple of rounds: a drain that loses the race to a transient
-    // borrow retries, and reclamation itself may push new entries.
-    for _ in 0..3 {
-        if DOMAIN.limbo_len.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        try_drain(true);
+/// Reclaims every object retired before the call. On return, each
+/// displaced `AtomicArc` reference and each [`Guard::defer`] closure
+/// whose retirement finished before `flush` was called has been released.
+///
+/// Blocks only while some thread is inside an `AtomicArc::load` window
+/// that was already open when the limbo was taken — each stripe is waited
+/// for, in turn, until it is seen at zero once, so loads that start after
+/// the call cannot starve it. Holding a [`Guard`] never delays it.
+///
+/// Must not be called from a destructor that a reclamation runs (it would
+/// wait for itself).
+pub fn flush() {
+    let _drain = DOMAIN.drain.lock().unwrap_or_else(PoisonError::into_inner);
+    // A drain that took entries before us has released them by now
+    // (reclaimed or put back), so everything retired before the call is
+    // in the limbo.
+    let taken = take_limbo();
+    if taken.is_empty() {
+        return;
     }
+    for stripe in &DOMAIN.stripes {
+        while stripe.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
+        }
+    }
+    // SAFETY: every stripe was observed at zero after the take, which the
+    // per-stripe form of the module's Dekker argument makes sufficient.
+    unsafe { reclaim_all(taken) };
 }
 
 /// Number of retired objects currently parked in limbo.
@@ -227,64 +327,25 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// The stripes and limbo are process-global, so tests that assert on
     /// limbo occupancy serialize against each other. Unrelated tests in
-    /// the same binary only ever take *transient* (nanosecond) borrows,
-    /// which the retry loops below absorb.
+    /// the same binary only ever take *transient* (nanosecond) borrows.
     static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn count_entry(flag: &Arc<AtomicBool>) -> Retired {
         let flag = Arc::clone(flag);
         Retired::from_closure(Box::new(move || flag.store(true, Ordering::SeqCst)))
     }
 
-    fn drain_until(flag: &AtomicBool) {
-        for _ in 0..10_000 {
-            if flag.load(Ordering::SeqCst) {
-                return;
-            }
-            flush();
-            std::thread::yield_now();
-        }
-        panic!("entry never reclaimed");
-    }
-
-    #[test]
-    fn retire_without_borrows_reclaims_immediately() {
-        let _serial = SERIAL.lock().unwrap();
-        // A transient borrow from a concurrent test can park any single
-        // attempt; an immediate free must happen within a few tries.
-        for _ in 0..100 {
-            let freed = Arc::new(AtomicBool::new(false));
-            retire(count_entry(&freed));
-            if freed.load(Ordering::SeqCst) {
-                return;
-            }
-            drain_until(&freed);
-        }
-        panic!("retire never took the immediate-reclaim fast path");
-    }
-
-    #[test]
-    fn retire_under_borrow_parks_until_release() {
-        let _serial = SERIAL.lock().unwrap();
-        let freed = Arc::new(AtomicBool::new(false));
-        let window = borrow();
-        retire(count_entry(&freed));
-        assert!(
-            !freed.load(Ordering::SeqCst),
-            "active borrow must park the entry in limbo"
-        );
-        assert!(retired_approx() >= 1);
-        drop(window);
-        drain_until(&freed);
-    }
-
-    #[test]
-    fn borrow_on_another_thread_blocks_reclaim() {
-        let _serial = SERIAL.lock().unwrap();
-        let freed = Arc::new(AtomicBool::new(false));
+    /// Holds a borrow on a fresh thread until the returned release flag is
+    /// set; returns once the borrow is taken.
+    fn remote_borrow() -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
         let hold = Arc::new(AtomicBool::new(true));
         let held = Arc::new(AtomicBool::new(false));
         let t = {
@@ -294,38 +355,99 @@ mod tests {
                 let b = borrow();
                 held.store(true, Ordering::SeqCst);
                 while hold.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
+                    std::thread::yield_now();
                 }
                 drop(b);
             })
         };
         while !held.load(Ordering::SeqCst) {
-            std::hint::spin_loop();
+            std::thread::yield_now();
         }
+        (hold, t)
+    }
+
+    #[test]
+    fn retire_without_borrows_reclaims_immediately() {
+        let _serial = serial();
+        // A transient borrow from a concurrent test can park any single
+        // attempt; an immediate free must happen within a few tries.
+        for _ in 0..100 {
+            let freed = Arc::new(AtomicBool::new(false));
+            retire(count_entry(&freed));
+            if freed.load(Ordering::SeqCst) {
+                return;
+            }
+            flush();
+            assert!(freed.load(Ordering::SeqCst), "flush left the entry");
+        }
+        panic!("retire never took the immediate-reclaim fast path");
+    }
+
+    #[test]
+    fn retire_under_borrow_parks_until_release() {
+        let _serial = serial();
+        let freed = Arc::new(AtomicBool::new(false));
+        let window = borrow();
         retire(count_entry(&freed));
+        assert!(
+            !freed.load(Ordering::SeqCst),
+            "active borrow must park the entry in limbo"
+        );
+        assert!(retired_approx() >= 1);
+        drop(window);
         flush();
+        assert!(freed.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn borrow_on_another_thread_blocks_reclaim() {
+        let _serial = serial();
+        let freed = Arc::new(AtomicBool::new(false));
+        let (hold, t) = remote_borrow();
+        retire(count_entry(&freed));
         assert!(
             !freed.load(Ordering::SeqCst),
             "remote borrow must block reclamation"
         );
         hold.store(false, Ordering::SeqCst);
         t.join().unwrap();
-        drain_until(&freed);
+        flush();
+        assert!(freed.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn flush_waits_out_a_remote_borrow() {
+        let _serial = serial();
+        let freed = Arc::new(AtomicBool::new(false));
+        let (hold, t) = remote_borrow();
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            hold.store(false, Ordering::SeqCst);
+        });
+        retire(count_entry(&freed));
+        flush();
+        assert!(
+            freed.load(Ordering::SeqCst),
+            "flush returned before reclaiming an entry retired before it"
+        );
+        release.join().unwrap();
+        t.join().unwrap();
     }
 
     #[test]
     // Explicit drops of the inert token are the behavior under test.
     #[allow(clippy::drop_non_drop)]
     fn guard_token_is_free_and_stacks() {
-        let _serial = SERIAL.lock().unwrap();
-        let g1 = protect();
-        let g2 = protect();
+        let _serial = serial();
+        let g1 = pin();
+        let g2 = pin();
         drop(g1);
         drop(g2);
         // Tokens carry no protection; a held guard does not park retires.
         let freed = Arc::new(AtomicBool::new(false));
-        let _g3 = protect();
+        let _g3 = pin();
         retire(count_entry(&freed));
-        drain_until(&freed);
+        flush();
+        assert!(freed.load(Ordering::SeqCst));
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use cqs_reclaim::{AtomicArc, Collector};
+use cqs_reclaim::{flush, pin, AtomicArc};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -52,7 +52,6 @@ proptest! {
 
     #[test]
     fn atomic_arc_matches_reference_model(ops in ops()) {
-        let collector = Collector::new();
         let drops = Arc::new(AtomicUsize::new(0));
         let mut created = 0usize;
         let mut make = |v: u64| {
@@ -61,12 +60,11 @@ proptest! {
         };
 
         {
-            let handle = collector.register();
             let cell: AtomicArc<Tracked> = AtomicArc::null();
             let mut model: Option<u64> = None;
 
             for op in ops {
-                let guard = handle.pin();
+                let guard = pin();
                 match op {
                     Op::Load => {
                         let got = cell.load(&guard).map(|a| a.value);
@@ -103,7 +101,7 @@ proptest! {
             }
             drop(cell);
         }
-        collector.flush();
+        flush();
         prop_assert_eq!(
             drops.load(Ordering::SeqCst),
             created,

@@ -35,7 +35,7 @@
 /// expose the inner value, construction is `const`, and it carries no
 /// feature gate — primitives embed their hot state words in it
 /// unconditionally (`cqs-core`'s suspension counters, `cqs-sync`'s
-/// semaphore/rwlock state words, the epoch participants) while the counter
+/// semaphore/rwlock state words, the reclamation borrow stripes) while the counter
 /// statics below use it only when the `stats` feature compiles them in.
 ///
 /// # Example
@@ -199,20 +199,19 @@ define_counters! {
     parks,
     /// Parked threads woken by a completion or cancellation.
     unparks,
-    /// Destructors deferred to the epoch reclamation engine.
+    /// Retired objects parked in the reclamation limbo because a load was
+    /// mid-window at retire time. The name is kept because report tooling
+    /// reads it.
     epoch_defers,
-    /// Deferred destructors actually executed by the epoch engine.
+    /// Always 0: nothing increments it. Kept because report tooling adds
+    /// it to `retired_reclaimed`.
     epoch_collects,
-    /// Owned-slot guard acquisitions that took no atomic action at all —
-    /// the GC-free backend's fast path, where protection is deferred to
-    /// the individual pointer loads instead of a guard-lifetime pin.
+    /// Guard acquisitions, none of which takes any atomic action: the
+    /// owned-slot scheme protects individual pointer loads instead of a
+    /// guard's lifetime.
     guard_elisions,
-    /// Hazard-pointer retire-list scans (each walks every registered
-    /// thread's published hazard slots once).
-    hp_scans,
-    /// Retired objects physically reclaimed by the hazard-pointer and
-    /// owned-slot backends (immediate frees plus limbo/retire-list
-    /// drains); the epoch engine's equivalent is `epoch_collects`.
+    /// Retired objects physically reclaimed (immediate frees plus limbo
+    /// drains).
     retired_reclaimed,
     /// Batched resumption traversals (`Cqs::resume_n` / `resume_all` /
     /// the batched `close()` sweep) — one per traversal, however many

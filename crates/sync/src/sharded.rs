@@ -210,32 +210,10 @@ impl ShardedSemaphore {
     ///
     /// Panics if `permits`, `shards` or `interval` is zero.
     pub fn with_shards_and_interval(permits: usize, shards: usize, interval: u64) -> Self {
-        Self::build(permits, shards, interval, None)
+        Self::build(permits, shards, interval)
     }
 
-    /// Creates a sharded semaphore whose shard queues all use the given
-    /// memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`]. Shard count and rebalance interval
-    /// follow the defaults of [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permits` is zero.
-    pub fn with_reclaimer(permits: usize, reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(
-            permits,
-            cqs_core::shard::default_shard_count(MAX_DEFAULT_SHARDS),
-            DEFAULT_REBALANCE_INTERVAL,
-            Some(reclaimer),
-        )
-    }
-
-    fn build(
-        permits: usize,
-        shards: usize,
-        interval: u64,
-        reclaimer: Option<cqs_core::ReclaimerKind>,
-    ) -> Self {
+    fn build(permits: usize, shards: usize, interval: u64) -> Self {
         assert!(permits > 0, "a semaphore needs at least one permit");
         assert!(shards > 0, "a sharded semaphore needs at least one shard");
         assert!(interval > 0, "the rebalance interval must be positive");
@@ -269,7 +247,6 @@ impl ShardedSemaphore {
                         "sharded-semaphore.shard",
                         slots,
                         on_refusal,
-                        reclaimer,
                     )
                 })
                 .collect();

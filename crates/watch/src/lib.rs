@@ -434,11 +434,11 @@ mod runtime {
         pub value: i64,
     }
 
-    /// The retired-but-unreclaimed backlog of one memory-reclamation
-    /// backend, as observed by a scan (`cqs_reclaim::retired_approx`).
+    /// The retired-but-unreclaimed backlog of the memory-reclamation
+    /// scheme, as observed by a scan (`cqs_reclaim::retired_approx`).
     #[derive(Debug, Clone)]
     pub struct ReclaimGauge {
-        /// Backend name (`"epoch"`, `"hazard"`, `"owned"`).
+        /// Backend name (always `"owned"`, the only scheme).
         pub backend: &'static str,
         /// Objects retired through this backend and still awaiting
         /// physical reclamation.
@@ -446,13 +446,11 @@ mod runtime {
     }
 
     fn reclaim_snapshot() -> Vec<ReclaimGauge> {
-        cqs_reclaim::ReclaimerKind::ALL
-            .iter()
-            .map(|kind| ReclaimGauge {
-                backend: kind.name(),
-                retired: cqs_reclaim::retired_approx(*kind) as u64,
-            })
-            .collect()
+        let backend = cqs_reclaim::default_reclaimer();
+        vec![ReclaimGauge {
+            backend: backend.name(),
+            retired: cqs_reclaim::retired_approx(backend) as u64,
+        }]
     }
 
     fn gauges_snapshot() -> Vec<GaugeInfo> {
@@ -721,11 +719,11 @@ mod runtime {
         /// zero. A stalled-waiter pile-up that also inflates this is a
         /// leak, not just a liveness problem.
         pub rss_bytes: Option<u64>,
-        /// Per-backend count of objects retired through each
-        /// memory-reclamation backend but not yet physically reclaimed
-        /// (see `cqs_reclaim::retired_approx`). A growing epoch figure
-        /// alongside stalled waiters usually means a guard is pinned
-        /// somewhere in the stall.
+        /// Count of objects retired through the memory-reclamation scheme
+        /// but not yet physically reclaimed (see
+        /// `cqs_reclaim::retired_approx`), one entry keyed by backend
+        /// name. Guards pin nothing, so only a thread stalled inside an
+        /// `AtomicArc` load can make this grow.
         pub reclaim: Vec<ReclaimGauge>,
         /// Sum of every `live_segments` gauge at scan time — the queue
         /// segments currently allocated across primitives that publish
@@ -1511,18 +1509,16 @@ mod tests {
                 .is_some(),
             report.rss_bytes.is_some()
         );
-        // The per-backend reclamation gauge serializes as an object with
-        // one key per backend.
-        assert_eq!(report.reclaim.len(), 3);
-        for backend in ["epoch", "hazard", "owned"] {
-            assert!(
-                doc.get("reclaim")
-                    .and_then(|r| r.get(backend))
-                    .and_then(cqs_harness::report::Json::as_f64)
-                    .is_some(),
-                "reclaim gauge missing backend {backend}"
-            );
-        }
+        // The reclamation gauge serializes as an object keyed by backend
+        // name, with the single owned-slot scheme as its only key.
+        assert_eq!(report.reclaim.len(), 1);
+        assert!(
+            doc.get("reclaim")
+                .and_then(|r| r.get("owned"))
+                .and_then(cqs_harness::report::Json::as_f64)
+                .is_some(),
+            "reclaim gauge missing backend owned"
+        );
         w.complete();
     }
 }

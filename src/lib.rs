@@ -45,14 +45,14 @@
 //! `cqs-core` (the framework), `cqs-sync` (primitives), `cqs-pool`
 //! (blocking pools), `cqs-channel` (MPMC channels, see [`channels`]),
 //! `cqs-future` (the future model), `cqs-exec`
-//! (a coroutine executor), `cqs-reclaim` (pluggable epoch / hazard-pointer
-//! / owned-slot reclamation + `AtomicArc`)
+//! (a coroutine executor), `cqs-reclaim` (GC-free owned-slot reclamation
+//! and `AtomicArc`)
 //! and `cqs-baseline` (AQS, CLH, MCS, blocking queues — the paper's
 //! comparison targets, exposed under [`baseline`]).
 
 pub use cqs_core::{
-    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, FutureState,
-    ReclaimerKind, Request, ResumeMode, SimpleCancellation, Suspend,
+    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, FutureState, Request,
+    ResumeMode, SimpleCancellation, Suspend,
 };
 pub use cqs_pool::{
     BlockingPool, PoolBackend, QueueBackend, QueuePool, ShardedPool, ShardedQueuePool,
@@ -84,13 +84,11 @@ pub mod exec {
     pub use cqs_exec::{CoroStep, CoroWaker, Coroutine, Executor, FnCoroutine};
 }
 
-/// Pluggable memory reclamation (epoch, hazard-pointer and owned-slot
-/// backends) and atomic `Arc` cells (the GC substitute).
+/// GC-free owned-slot memory reclamation and atomic `Arc` cells (the GC
+/// substitute).
 pub mod reclaim {
     pub use cqs_reclaim::{
-        default_reclaimer, flush, flush_reclaimer, pin, pin_with, reclaimer, retired_approx,
-        set_default_reclaimer, AtomicArc, Collector, EpochReclaimer, Guard, HazardReclaimer,
-        LocalHandle, OwnedReclaimer, Reclaimer, ReclaimerKind,
+        default_reclaimer, flush, flush_reclaimer, pin, retired_approx, AtomicArc, Backend, Guard,
     };
 }
 

@@ -1,26 +1,23 @@
-//! The three memory-reclamation backends (epoch, hazard-pointer,
-//! owned-slot) are *observationally equivalent*: reclamation is a memory
-//! concern, never a semantic one, so the same operation sequence must
-//! produce identical outcomes on queues stamped with each backend — and
-//! all three must agree with the sequential cell-array model.
+//! Memory reclamation is a memory concern, never a semantic one: a queue
+//! running on the owned-slot reclamation scheme must agree with the
+//! sequential cell-array model on every operation sequence.
 //!
 //! The second half is the memory-bound story: a chaos storm across 72
 //! seeds with a deliberately *stalled* guard-holder planted on a side
-//! thread. The epoch backend must defer everything behind the stalled pin
-//! (its retired backlog grows with the churn), while hazard-pointer and
-//! owned-slot — whose stalled guards protect nothing — keep reclaiming
-//! throughout and end the storm with a bounded backlog.
+//! thread. A guard protects nothing by itself, so reclamation proceeds
+//! throughout and the storm ends with a bounded backlog, which `flush`
+//! then empties.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 
 use proptest::prelude::*;
 
-use cqs::reclaim::{flush_reclaimer, pin_with, retired_approx};
-use cqs::{Cqs, CqsConfig, CqsFuture, FutureState, ReclaimerKind, SimpleCancellation};
+use cqs::reclaim::{default_reclaimer, flush, pin, retired_approx};
+use cqs::{Cqs, CqsConfig, CqsFuture, FutureState, SimpleCancellation};
 use cqs_check::models::CellArrayModel;
 
-/// Backend gauges (`retired_approx`) and chaos seeding are process-global;
+/// The backlog gauge (`retired_approx`) and chaos seeding are process-global;
 /// tests in this binary serialize so one test's churn cannot pollute
 /// another's backlog assertions.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -50,17 +47,13 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 
 /// Drives one queue through the sequence, checking every outcome against
 /// the model; returns an error string naming the first divergence.
-fn check_against_model(kind: ReclaimerKind, ops: &[Op]) -> Result<(), String> {
-    let cqs: Cqs<u64> = Cqs::new(
-        CqsConfig::new().segment_size(2).reclaimer(kind),
-        SimpleCancellation,
-    );
-    assert_eq!(cqs.reclaimer(), kind, "constructor must stamp the backend");
+fn check_against_model(ops: &[Op]) -> Result<(), String> {
+    let cqs: Cqs<u64> = Cqs::new(CqsConfig::new().segment_size(2), SimpleCancellation);
     let mut model = CellArrayModel::default();
     let mut pending: Vec<(usize, CqsFuture<u64>)> = Vec::new();
 
     for (step, op) in ops.iter().enumerate() {
-        let fail = |what: &str| Err(format!("[{kind}] step {step} {op:?}: {what}"));
+        let fail = |what: &str| Err(format!("step {step} {op:?}: {what}"));
         match op {
             Op::Suspend => {
                 let cell = model.suspend_idx;
@@ -121,11 +114,11 @@ fn check_against_model(kind: ReclaimerKind, ops: &[Op]) -> Result<(), String> {
             }
         }
     }
-    // Whatever remains is still pending under every backend.
+    // Whatever remains is still pending.
     for (cell, mut f) in pending {
         if f.try_get() != FutureState::Pending {
             return Err(format!(
-                "[{kind}] cell {cell}: untouched waiter is no longer pending"
+                "cell {cell}: untouched waiter is no longer pending"
             ));
         }
     }
@@ -135,117 +128,99 @@ fn check_against_model(kind: ReclaimerKind, ops: &[Op]) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every backend runs the same sequence and agrees with the model —
-    /// hence all three are observationally equivalent to each other.
+    /// The queue agrees with the sequential model on every sequence.
     #[test]
-    fn backends_are_observationally_equivalent(ops in ops()) {
+    fn queue_matches_cell_array_model(ops in ops()) {
         let _serial = serial();
-        for kind in ReclaimerKind::ALL {
-            if let Err(e) = check_against_model(kind, &ops) {
-                prop_assert!(false, "{}", e);
-            }
+        if let Err(e) = check_against_model(&ops) {
+            prop_assert!(false, "{}", e);
         }
     }
 }
 
 /// 72-seed suspend/resume/cancel storm with a planted stalled
-/// guard-holder per backend. The holder takes a guard *of the backend
-/// under churn* and sits on it for the whole storm:
-///
-/// * epoch: the stalled pin blocks the global epoch, so every displaced
-///   waiter/segment defers — the backlog must visibly grow;
-/// * hazard / owned-slot: a stalled guard publishes no hazard slots and
-///   holds no stripe borrow, so reclamation proceeds and the backlog
-///   stays bounded the entire time.
+/// guard-holder. The holder takes a guard and sits on it for the whole
+/// storm; a guard holds no stripe borrow, so displaced waiters and
+/// segments keep being reclaimed and the backlog stays bounded the entire
+/// time. After the storm, `flush` must leave nothing behind.
 #[test]
-fn stalled_guard_storm_defers_epoch_but_not_hazard_or_owned() {
+fn stalled_guard_storm_keeps_backlog_bounded() {
     let _serial = serial();
     const THREADS: usize = 3;
     const OPS: usize = 40;
-    // Hazard retires in per-thread batches scanned at a threshold; the
-    // backlog bound is threads x (threshold + slots) with slack for the
-    // storm threads' leftovers. Owned reclaims on the spot (bound 0 held
-    // borrows, but a racing borrow can park a handful in limbo).
+    // Retires reclaim on the spot unless a load is mid-window; a racing
+    // load can park a handful in limbo until the next drain.
     const BOUNDED: usize = 512;
+    let backend = default_reclaimer();
 
     for (i, seed) in (0..72u64).map(|i| (i, 0xC0DE_0000 + i * 7919)) {
         cqs_chaos::set_seed(seed);
-        for kind in ReclaimerKind::ALL {
-            let before = retired_approx(kind);
-            let hold = Arc::new(AtomicBool::new(true));
-            let ready = Arc::new(AtomicBool::new(false));
-            let holder = {
-                let (hold, ready) = (Arc::clone(&hold), Arc::clone(&ready));
-                std::thread::spawn(move || {
-                    let guard = pin_with(kind);
-                    ready.store(true, Ordering::Release);
-                    while hold.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    drop(guard);
-                })
-            };
-            while !ready.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-
-            let cqs: Arc<Cqs<u64>> = Arc::new(Cqs::new(
-                CqsConfig::new()
-                    .segment_size(2)
-                    .freelist_slots(0)
-                    .reclaimer(kind),
-                SimpleCancellation,
-            ));
-            let joins: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let cqs = Arc::clone(&cqs);
-                    std::thread::spawn(move || {
-                        for op in 0..OPS {
-                            let f = cqs.suspend().expect_future();
-                            if (op + t) % 3 == 0 && f.cancel() {
-                                continue;
-                            }
-                            // Simple cancellation: a resume landing on a
-                            // cancelled cell returns the value; restart.
-                            let mut v = (op * THREADS + t) as u64;
-                            while let Err(bounced) = cqs.resume(v) {
-                                v = bounced;
-                            }
-                            // The value may land in our cell or a racing
-                            // sibling's; either way nobody is stranded:
-                            // THREADS resumes cover THREADS non-cancelled
-                            // waiters, so this wait must finish.
-                            f.wait().unwrap();
-                        }
-                    })
-                })
-                .collect();
-            for j in joins {
-                j.join().unwrap();
-            }
-
-            let during = retired_approx(kind).saturating_sub(before);
-            match kind {
-                // The churn displaced hundreds of waiter records and
-                // segments behind the stalled pin; epoch must have
-                // deferred a visible share of them.
-                ReclaimerKind::Epoch => assert!(
-                    during > 0,
-                    "seed {seed:#x} round {i}: epoch reclaimed through a stalled pin \
-                     (backlog {during})"
-                ),
-                ReclaimerKind::Hazard | ReclaimerKind::Owned => assert!(
-                    during < BOUNDED,
-                    "seed {seed:#x} round {i}: {kind} backlog {during} not bounded \
-                     under a stalled guard"
-                ),
-            }
-
-            hold.store(false, Ordering::Release);
-            holder.join().unwrap();
-            drop(cqs);
-            flush_reclaimer(kind);
+        let before = retired_approx(backend);
+        let hold = Arc::new(AtomicBool::new(true));
+        let ready = Arc::new(AtomicBool::new(false));
+        let holder = {
+            let (hold, ready) = (Arc::clone(&hold), Arc::clone(&ready));
+            std::thread::spawn(move || {
+                let _guard = pin();
+                ready.store(true, Ordering::Release);
+                while hold.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            })
+        };
+        while !ready.load(Ordering::Acquire) {
+            std::hint::spin_loop();
         }
+
+        let cqs: Arc<Cqs<u64>> = Arc::new(Cqs::new(
+            CqsConfig::new().segment_size(2).freelist_slots(0),
+            SimpleCancellation,
+        ));
+        let joins: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let cqs = Arc::clone(&cqs);
+                std::thread::spawn(move || {
+                    for op in 0..OPS {
+                        let f = cqs.suspend().expect_future();
+                        if (op + t) % 3 == 0 && f.cancel() {
+                            continue;
+                        }
+                        // Simple cancellation: a resume landing on a
+                        // cancelled cell returns the value; restart.
+                        let mut v = (op * THREADS + t) as u64;
+                        while let Err(bounced) = cqs.resume(v) {
+                            v = bounced;
+                        }
+                        // The value may land in our cell or a racing
+                        // sibling's; either way nobody is stranded:
+                        // THREADS resumes cover THREADS non-cancelled
+                        // waiters, so this wait must finish.
+                        f.wait().unwrap();
+                    }
+                })
+            })
+            .collect();
+        for j in joins {
+            j.join().unwrap();
+        }
+
+        let during = retired_approx(backend).saturating_sub(before);
+        assert!(
+            during < BOUNDED,
+            "seed {seed:#x} round {i}: backlog {during} not bounded under a stalled guard"
+        );
+
+        drop(cqs);
+        // `flush` waits out nothing here: the only guard is the stalled
+        // one, and guards pin nothing.
+        flush();
+        assert_eq!(
+            retired_approx(backend),
+            0,
+            "seed {seed:#x} round {i}: flush left garbage behind a stalled guard"
+        );
+        hold.store(false, Ordering::Release);
+        holder.join().unwrap();
     }
     cqs_chaos::disable();
 }

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cqs::reclaim::{pin, AtomicArc, Collector};
+use cqs::reclaim::{flush, pin, AtomicArc};
 use cqs::{Cqs, CqsConfig, QueuePool, Semaphore, SimpleCancellation, StackPool};
 
 /// A value whose drops are counted.
@@ -60,8 +60,9 @@ fn values_parked_in_cells_drop_with_the_queue() {
         }
         assert_eq!(drops.load(Ordering::SeqCst), 0, "values still parked");
     }
-    // Link references displaced during teardown are epoch-deferred; drain
-    // them to make the drops observable.
+    // Link references displaced during teardown may wait in limbo for a
+    // concurrent load to leave its window; drain them to make the drops
+    // observable.
     cqs::reclaim::flush();
     assert_eq!(
         drops.load(Ordering::SeqCst),
@@ -122,7 +123,7 @@ fn dropping_queue_with_waiters_releases_requests() {
 
 /// Segment churn through a semaphore: millions of cells worth of segments
 /// are created and released without exhausting memory (smoke test: RSS is
-/// not measured, but the epoch collector must keep up without panicking).
+/// not measured, but reclamation must keep up without panicking).
 #[test]
 fn segment_churn_smoke() {
     let s = Arc::new(Semaphore::new(1));
@@ -141,18 +142,16 @@ fn segment_churn_smoke() {
 /// tested in cqs-reclaim; this exercises it through the public facade).
 #[test]
 fn atomic_arc_roundtrip_via_facade() {
-    let collector = Collector::new();
     let drops = Arc::new(AtomicUsize::new(0));
     {
-        let handle = collector.register();
         let cell = AtomicArc::new(Some(Arc::new(Tracked::new(&drops))));
         for _ in 0..100 {
-            let guard = handle.pin();
+            let guard = pin();
             cell.store(Some(Arc::new(Tracked::new(&drops))), &guard);
         }
         drop(cell);
     }
-    collector.flush();
+    flush();
     assert_eq!(drops.load(Ordering::SeqCst), 101);
 }
 
