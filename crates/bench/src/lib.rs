@@ -5,9 +5,8 @@
 //! Each `figures::figN_*` module regenerates one figure of the evaluation
 //! (§6 and Appendix F): it sweeps the same parameters, runs the same
 //! workload shape, and prints the same series the paper plots. The
-//! `figures` binary drives full sweeps; the Criterion benches under
-//! `benches/` exercise representative single points for regression
-//! tracking.
+//! `figures` binary drives the sweeps and writes `cqs-bench/v1` reports;
+//! the repository benchmark (`perfbench/`) is the end-to-end gate.
 //!
 //! Absolute numbers will differ from the paper's 144-thread Xeon testbed;
 //! the comparisons (which algorithm wins, by roughly what factor, where the

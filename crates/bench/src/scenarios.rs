@@ -29,7 +29,7 @@ use crate::Scale;
 /// default to the machine's parallelism, which on a small CI box is 1 and
 /// would silently benchmark a sharded semaphore against itself.
 fn shard_count(threads: usize) -> usize {
-    threads.clamp(1, cqs_sync::MAX_DEFAULT_SHARDS)
+    threads.clamp(1, cqs_core::shard::MAX_DEFAULT_SHARDS)
 }
 
 /// Contended-acquire throughput, single-queue vs sharded, at

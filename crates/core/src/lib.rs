@@ -13,7 +13,8 @@
 //! segments; segments whose cells are all cancelled are physically unlinked
 //! in O(1), so memory consumption is proportional to the number of *live*
 //! waiters. See [`Cqs`] for the entry point and the `cqs-sync` / `cqs-pool`
-//! crates for the primitives.
+//! crates for the primitives; [`shard`] holds the one sharded-bank protocol
+//! behind both crates' sharded primitives.
 //!
 //! ## Choosing modes
 //!

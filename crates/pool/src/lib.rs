@@ -17,6 +17,11 @@
 //! * [`StackBackend`] (use via [`StackPool`]) — a Treiber stack returning
 //!   the most recently used ("hottest") element.
 //!
+//! [`ShardedPool`] (aliases [`ShardedQueuePool`], [`ShardedStackPool`])
+//! splits a pool over per-shard [`BlockingPool`]s: a typed facade over the
+//! sharded bank of [`cqs_core::shard`], shared with `cqs-sync`'s
+//! `ShardedSemaphore`.
+//!
 //! Both pools are *not* linearizable — under races elements can be handed
 //! out slightly out of order — which is fine for a pool, whose contents are
 //! unordered by contract.
@@ -39,11 +44,12 @@ mod backend;
 mod sharded;
 
 pub use backend::{PoolBackend, QueueBackend, StackBackend};
-pub use sharded::{ShardedPool, ShardedQueuePool, ShardedStackPool, MAX_DEFAULT_SHARDS};
+pub use sharded::{ShardedPool, ShardedQueuePool, ShardedStackPool};
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Weak};
 
+use cqs_core::shard::RefusalHook;
 use cqs_core::{CancellationMode, Cqs, CqsCallbacks, CqsConfig, CqsFuture, Suspend};
 
 /// A pool over the queue backend: elements come back in insertion order.
@@ -59,11 +65,6 @@ struct PoolShared<E: Send + 'static, B: PoolBackend<E>> {
     backend: B,
     cqs: Cqs<E, PoolCallbacks<E, B>>,
 }
-
-/// Hook a sharded wrapper installs to learn that a taker's cancellation
-/// refused an in-flight resume and re-stored its element. See
-/// [`PoolCallbacks::complete_refused_resume`].
-pub(crate) type RefusalHook = Box<dyn Fn() + Send + Sync>;
 
 /// Smart-cancellation hooks of the abstract pool (paper, Listing 17).
 ///
@@ -204,20 +205,6 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
         self.shared.put(element);
     }
 
-    /// Crate-internal sibling of [`put`](Self::put) reporting whether the
-    /// element was stored (`true`) or handed to a waiting taker
-    /// (`false`); the sharded pool runs its migration scan exactly when
-    /// an element was stored.
-    pub(crate) fn put_reporting(&self, element: E) -> bool {
-        self.shared.put(element)
-    }
-
-    /// Crate-internal sibling of [`put_many`](Self::put_many) reporting
-    /// how many elements were stored rather than handed to takers.
-    pub(crate) fn put_many_reporting(&self, elements: impl IntoIterator<Item = E>) -> usize {
-        self.shared.put_many(elements.into_iter().collect())
-    }
-
     /// Returns a whole batch of elements at once: a single `fetch_add` on
     /// the size word, and every waiting taker the batch covers is served in
     /// **one** batched CQS traversal ([`cqs_core::Cqs::resume_n`]) whose
@@ -257,44 +244,6 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
                     }
                 }
             }
-        }
-    }
-
-    /// Attempts to retrieve a *stored* element without waiting.
-    ///
-    /// Weak sibling of [`take`](Self::take): it only CASes the size word
-    /// downward while it is positive, so it never queues and never claims
-    /// an element destined for a FIFO waiter. It is weak because an
-    /// element a racing [`put`](Self::put) has announced but not yet
-    /// inserted is invisible — `None` does not prove the pool was empty at
-    /// any single instant. When the CAS wins but the paired insert broke
-    /// (the backend's restart protocol), the retry loop simply runs again:
-    /// the racing `put` restarts with a fresh size increment, so the
-    /// accounting stays balanced. Sharded pools use this as their local
-    /// fast path, steal path, and element-migration source.
-    pub fn try_take_weak(&self) -> Option<E> {
-        loop {
-            let mut s = self.shared.size.load(Ordering::SeqCst);
-            loop {
-                if s <= 0 {
-                    return None;
-                }
-                match self.shared.size.compare_exchange(
-                    s,
-                    s - 1,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => s = actual,
-                }
-            }
-            cqs_watch::gauge!(self.shared.cqs.watch_id(), "size", s - 1);
-            if let Some(element) = self.shared.backend.try_retrieve() {
-                return Some(element);
-            }
-            // The announced element's insert broke; its put() re-increments
-            // and re-inserts, so retry from a fresh size read.
         }
     }
 
@@ -370,21 +319,30 @@ impl<E: Send + 'static, B: PoolBackend<E>> PoolShared<E, B> {
         // takers; serve them all in one batched traversal.
         let to_waiters = (-s).clamp(0, k) as usize;
         let mut elements = elements.into_iter();
-        if to_waiters > 0 {
-            let failed = self
-                .cqs
-                .resume_n(elements.by_ref().take(to_waiters), to_waiters);
-            debug_assert!(failed.is_empty(), "smart async resume cannot fail");
-        }
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if to_waiters > 0 {
+                let failed = self
+                    .cqs
+                    .resume_n(elements.by_ref().take(to_waiters), to_waiters);
+                debug_assert!(failed.is_empty(), "smart async resume cannot fail");
+            }
+        }));
         let mut stored = 0;
+        // The remaining increments announced stored elements; insert them.
+        // After a crash inside the batch this includes the elements it
+        // never pulled: the crash poisoned the queue, so the takers those
+        // elements were counted for are cancelled and refuse them — like
+        // refused resumes (`complete_refused_resume`), they belong in the
+        // store. A broken slot means a racing take() absorbed this
+        // element's increment — `put` restarts with a fresh one.
         for element in elements {
-            // The remaining increments announced stored elements; insert
-            // them. A broken slot means a racing take() absorbed this
-            // element's increment — `put` restarts with a fresh one.
             match self.backend.try_insert(element) {
                 Ok(()) => stored += 1,
                 Err(e) => stored += usize::from(self.put(e)),
             }
+        }
+        if let Err(panic) = served {
+            std::panic::resume_unwind(panic);
         }
         stored
     }

@@ -16,6 +16,10 @@
 //! * [`CountDownLatch`] — waiting for a set of operations to complete
 //!   (paper §4.2, Listing 7), plus [`SimpleCancelLatch`] for the
 //!   cancellation-mode ablation.
+//! * [`ShardedSemaphore`] — the semaphore split over per-shard
+//!   [`Semaphore`]s for throughput under contention: a typed facade over
+//!   the sharded bank of [`cqs_core::shard`], shared with `cqs-pool`'s
+//!   `ShardedPool`.
 //!
 //! All primitives hand waiters their wake-ups in FIFO order and support
 //! aborting a waiting request at any time (where semantically possible) in
@@ -54,9 +58,7 @@ pub use latch::{CountDownGuard, CountDownLatch, SimpleCancelLatch};
 pub use mutex::{LockError, Mutex, MutexGuard, RawMutex};
 pub use rwlock::{RawRwLock, RwLockFuture};
 pub use semaphore::{ExcessRelease, Semaphore, SemaphoreGuard};
-pub use sharded::{
-    ShardedSemaphore, ShardedSemaphoreGuard, DEFAULT_REBALANCE_INTERVAL, MAX_DEFAULT_SHARDS,
-};
+pub use sharded::{ShardedSemaphore, ShardedSemaphoreGuard};
 
 // Re-export the future vocabulary users interact with.
 pub use cqs_core::{Cancelled, CqsFuture, FutureState};

@@ -7,15 +7,11 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
+use cqs_core::shard::{RefusalHook, Shard};
 use cqs_core::{
     CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, ResumeMode, Suspend,
 };
 use cqs_stats::CachePadded;
-
-/// Hook a sharded wrapper installs to learn that a cancellation refused an
-/// in-flight resume and re-banked its permit. See
-/// [`SemaphoreCallbacks::complete_refused_resume`].
-pub(crate) type RefusalHook = Box<dyn Fn() + Send + Sync>;
 
 /// Semaphore state shared with the smart-cancellation callbacks:
 /// `state >= 0` is the number of available permits, `state < 0` the negated
@@ -129,71 +125,37 @@ impl Semaphore {
         Self::with_mode(permits, ResumeMode::Synchronous, Some(spin_limit))
     }
 
-    /// Builds a shard of a sharded semaphore: asynchronous resumption with
-    /// `initial` of the primitive's `cap` total permits banked here. The
-    /// shard's excess-release accounting is capped at the *total* because
-    /// rebalancing migrates credit between shards, so any one shard may
-    /// transiently bank every permit. `freelist_slots` is scaled down by
-    /// the shard count, bounding the idle segments pinned by the whole
-    /// primitive to `max(DEFAULT_FREELIST_SLOTS, shards)` — the
-    /// single-queue envelope up to 4 shards, one per shard beyond that
-    /// (each shard keeps at least one slot).
-    /// `on_refusal` is invoked whenever a cancellation refuses an in-flight
-    /// resume on this shard (re-banking the permit here), possibly on the
-    /// cancelling thread after the releaser already returned — the wrapper
-    /// runs its cross-shard sweep from it.
-    pub(crate) fn with_initial(
-        cap: usize,
-        initial: usize,
-        label: &'static str,
-        freelist_slots: usize,
-        on_refusal: Option<RefusalHook>,
-    ) -> Self {
-        assert!(cap > 0, "a semaphore needs at least one permit");
-        debug_assert!(initial <= cap, "initial share exceeds the permit cap");
-        let state = Arc::new(CachePadded::new(AtomicI64::new(initial as i64)));
-        let config = CqsConfig::new()
-            .resume_mode(ResumeMode::Asynchronous)
-            .cancellation_mode(CancellationMode::Smart)
-            .freelist_slots(freelist_slots)
-            .label(label);
-        let cqs = Cqs::new(
-            config,
-            SemaphoreCallbacks {
-                state: Arc::clone(&state),
-                on_refusal,
-            },
-        );
-        Semaphore {
-            state,
-            cqs,
-            permits: cap,
-            sync_mode: false,
-        }
-    }
-
     fn with_mode(permits: usize, mode: ResumeMode, spin_limit: Option<usize>) -> Self {
-        assert!(permits > 0, "a semaphore needs at least one permit");
-        let state = Arc::new(CachePadded::new(AtomicI64::new(permits as i64)));
         let mut config = CqsConfig::new()
             .resume_mode(mode)
-            .cancellation_mode(CancellationMode::Smart)
             .label("semaphore.acquire");
         if let Some(limit) = spin_limit {
             config = config.spin_limit(limit);
         }
-        let cqs = Cqs::new(
-            config,
-            SemaphoreCallbacks {
-                state: Arc::clone(&state),
-                on_refusal: None,
-            },
-        );
+        Self::with_config(permits, permits, config, None)
+    }
+
+    /// A semaphore of `permits` permits, `banked` of them available, over a
+    /// smart-cancellation queue built from `config`.
+    fn with_config(
+        permits: usize,
+        banked: usize,
+        config: CqsConfig,
+        on_refusal: Option<RefusalHook>,
+    ) -> Self {
+        assert!(permits > 0, "a semaphore needs at least one permit");
+        let state = Arc::new(CachePadded::new(AtomicI64::new(banked as i64)));
+        let sync_mode = config.get_resume_mode() == ResumeMode::Synchronous;
+        let callbacks = SemaphoreCallbacks {
+            state: Arc::clone(&state),
+            on_refusal,
+        };
+        let cqs = Cqs::new(config.cancellation_mode(CancellationMode::Smart), callbacks);
         Semaphore {
             state,
             cqs,
             permits,
-            sync_mode: mode == ResumeMode::Synchronous,
+            sync_mode,
         }
     }
 
@@ -308,50 +270,22 @@ impl Semaphore {
         false
     }
 
-    /// Attempts to take a *banked* permit without waiting, in any resume
-    /// mode.
-    ///
-    /// This is the **weak** sibling of [`try_acquire`](Semaphore::try_acquire):
-    /// it only CASes the state counter downward while it is positive, so it
-    /// never blocks, never queues, and never takes a permit destined for a
-    /// FIFO waiter (the counter is non-positive whenever waiters exist).
-    /// The weakness is in asynchronous mode: a permit a concurrent
-    /// `release` has already committed may transiently live *inside* the
-    /// queue where this method cannot see it, so `false` does not prove the
-    /// semaphore was exhausted at any single instant (the reason
+    /// Takes up to `max` *banked* permits in one CAS, in any resume mode,
+    /// and returns how many it got: the sharded bank's weak take. It only
+    /// CASes the state counter downward while it is positive, so it never
+    /// blocks, never queues, and never takes a permit destined for a FIFO
+    /// waiter (the counter is non-positive whenever waiters exist). The
+    /// weakness is in asynchronous mode: a permit a concurrent `release`
+    /// has already committed may transiently live *inside* the queue where
+    /// this cannot see it, so `0` does not prove the semaphore was
+    /// exhausted at any single instant (the reason
     /// [`try_acquire`](Semaphore::try_acquire) demands synchronous
     /// resumption — paper, Appendix B, Figure 9). Sequentially the counter
-    /// is exact and the weakness is unobservable. Sharded primitives use
-    /// this as their local fast path and steal path.
-    pub fn try_acquire_weak(&self) -> bool {
-        let mut s = self.state.load(Ordering::SeqCst);
-        while s > 0 {
-            match self
-                .state
-                .compare_exchange(s, s - 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    cqs_watch::gauge!(self.cqs.watch_id(), "state", s - 1);
-                    return true;
-                }
-                Err(actual) => s = actual,
-            }
-        }
-        false
-    }
-
-    /// Like [`try_acquire_weak`](Semaphore::try_acquire_weak), but takes up
-    /// to `max` banked permits in one CAS and returns how many it got.
-    /// Sharded rebalancing uses this to reclaim a batch of credit from one
-    /// shard's bank before handing it to another shard's waiters in a
-    /// single batched traversal.
-    pub fn try_acquire_many_weak(&self, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
+    /// is exact and the weakness is unobservable.
+    fn take_banked(&self, max: usize) -> usize {
         let cap = i64::try_from(max).unwrap_or(i64::MAX);
         let mut s = self.state.load(Ordering::SeqCst);
-        while s > 0 {
+        while s > 0 && cap > 0 {
             let take = s.min(cap);
             match self
                 .state
@@ -490,7 +424,7 @@ impl Semaphore {
     /// re-banking happens on the cancelling thread, possibly *after* this
     /// method returned. Wrappers that must react to the re-bank listen via
     /// the `on_refusal` hook instead of inspecting this return value.
-    pub(crate) fn release_reporting(&self) -> bool {
+    fn release_reporting(&self) -> bool {
         // Linearizability-history seam (cqs-check): a release is a
         // complete operation, so both edges are recorded here.
         cqs_chaos::record!(self as *const Self as u64, "sem.release", Invoke, 0);
@@ -548,7 +482,7 @@ impl Semaphore {
     /// through `on_cancellation` (possibly on the cancelling thread, after
     /// this returns) and are not counted — the `on_refusal` hook reports
     /// them.
-    pub(crate) fn release_n_reporting(&self, k: usize) -> usize {
+    fn release_n_reporting(&self, k: usize) -> usize {
         if k == 0 {
             return 0;
         }
@@ -581,6 +515,93 @@ impl Semaphore {
             banked += usize::from(self.release_reporting());
         }
         banked
+    }
+}
+
+/// A shard of a `ShardedSemaphore`: a semaphore is a pool of unit permits.
+impl Shard for Semaphore {
+    type Item = ();
+    /// The primitive's total permit count.
+    type Init = usize;
+
+    /// Permits are interchangeable and every holder releases eventually,
+    /// so a shard may bank a run of releases before migrating any.
+    const REBALANCE_INTERVAL: u64 = 64;
+
+    /// Every permit banked means no holder is left to release one, so
+    /// only then must a release sweep banked permits to waiters elsewhere.
+    fn sweep_threshold(&permits: &usize) -> usize {
+        permits
+    }
+
+    /// Asynchronous resumption (the default) with this shard's share of the
+    /// `permits` banked. The excess-release accounting is capped at the *total*
+    /// because rebalancing migrates credit between shards, so any one
+    /// shard may transiently bank every permit.
+    fn new_shard(
+        &permits: &usize,
+        index: usize,
+        shards: usize,
+        freelist_slots: usize,
+        on_refusal: Option<RefusalHook>,
+    ) -> Self {
+        let share = permits / shards + usize::from(index < permits % shards);
+        let config = CqsConfig::new()
+            .freelist_slots(freelist_slots)
+            .label("sharded-semaphore.shard");
+        Self::with_config(permits, share, config, on_refusal)
+    }
+
+    fn try_take_weak(&self) -> Option<()> {
+        (self.take_banked(1) == 1).then_some(())
+    }
+
+    fn try_take_many_weak(&self, max: usize) -> Vec<()> {
+        vec![(); self.take_banked(max)]
+    }
+
+    fn park(&self) -> CqsFuture<()> {
+        self.acquire()
+    }
+
+    fn give(&self, (): ()) -> bool {
+        self.release_reporting()
+    }
+
+    fn give_many(&self, permits: Vec<()>) -> usize {
+        self.release_n_reporting(permits.len())
+    }
+
+    fn stored(&self) -> usize {
+        self.available_permits()
+    }
+
+    fn waiting(&self) -> usize {
+        Semaphore::waiting(self)
+    }
+
+    fn close(&self) {
+        self.cqs.close();
+    }
+
+    fn poison(&self) {
+        self.cqs.poison();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.cqs.is_closed()
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.cqs.is_poisoned()
+    }
+
+    fn live_segments(&self) -> usize {
+        self.cqs.live_segments()
+    }
+
+    fn watch_id(&self) -> u64 {
+        self.cqs.watch_id()
     }
 }
 

@@ -15,8 +15,12 @@
 //! explorer must *find* the stranded-waiter counterexample — CI runs that
 //! build to prove the explorer detects real unguarded windows.
 
+mod common;
+
 #[cfg(feature = "chaos")]
 mod enabled {
+    #[cfg(not(feature = "planted-unguarded"))]
+    use crate::common::Pool;
     use cqs::{Cancelled, Cqs, CqsConfig, SimpleCancellation};
     use cqs_check::FaultExplorer;
     use std::sync::{Arc, Mutex as StdMutex, OnceLock};
@@ -318,6 +322,224 @@ mod enabled {
         Ok(())
     }
 
+    /// Crash placements inside the sharded bank's cross-shard hand-overs,
+    /// written once and run on the sharded semaphore and the sharded pool
+    /// (each a 2-shard bank under its shard type's policy).
+    #[cfg(not(feature = "planted-unguarded"))]
+    pub(super) mod sharded {
+        use super::*;
+        use crate::common::{Kind, Pool};
+        use cqs::Semaphore;
+        use cqs_check::CountdownFault;
+        use cqs_core::shard::ShardBank;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// The window every scenario aims at: a recipient shard's batched
+        /// resume, reached through the bank's cross-shard hand-overs.
+        pub const MID_BATCH: &str = "cqs.resume-n.fault.mid-batch";
+
+        type Alive = Option<Box<dyn Fn() -> usize>>;
+        type Join<T> = std::thread::JoinHandle<(Result<T, Cancelled>, Duration)>;
+
+        /// The bank with `n` items, all held by the caller, and a probe of
+        /// how many of them are still alive.
+        fn held<S: Kind>(n: usize) -> (Arc<ShardBank<S>>, Vec<S::Item>, Alive) {
+            let (bank, items) = S::held(n, 2);
+            let alive = S::alive(&items);
+            (Arc::new(bank), items, alive)
+        }
+
+        /// Parks `n` takers on shard `home` from the scenario thread (so
+        /// the FIFO order is the park order) and waits on each from its own
+        /// thread with the hang deadline.
+        fn park_takers<S: Kind>(bank: &ShardBank<S>, home: usize, n: usize) -> Vec<Join<S::Item>> {
+            (0..n)
+                .map(|_| {
+                    let f = bank.take_at(home);
+                    assert!(!f.is_immediate(), "setup: the taker must park");
+                    std::thread::spawn(move || {
+                        let start = Instant::now();
+                        (f.wait_timeout(HANG), start.elapsed())
+                    })
+                })
+                .collect()
+        }
+
+        /// The aftermath contract: no taker strands until its timeout; a
+        /// crash leaves the bank fully operational (every taker served) or
+        /// poisoned as a whole (takes through *every* shard fail fast); and
+        /// each of the `total` items is delivered or stored exactly once —
+        /// counted by the bank and, for elements, by how many are alive.
+        fn check_aftermath<S: Kind>(
+            bank: &ShardBank<S>,
+            joins: Vec<Join<S::Item>>,
+            crashed: bool,
+            total: usize,
+            alive: Alive,
+        ) -> Result<(), String> {
+            let takers = joins.len();
+            let mut delivered = Vec::new();
+            for (i, j) in joins.into_iter().enumerate() {
+                let (r, elapsed) = j.join().map_err(|_| format!("taker {i} panicked"))?;
+                if elapsed >= STRANDED {
+                    return Err(format!(
+                        "taker {i} was parked until its timeout (crashed={crashed})"
+                    ));
+                }
+                delivered.extend(r.ok());
+            }
+            let poisoned = bank.is_poisoned();
+            let served = delivered.len();
+            // Operational means every taker served; poisoned needs a crash.
+            if (!poisoned && served != takers) || (poisoned && !crashed) {
+                return Err(format!(
+                    "crashed={crashed}, poisoned={poisoned}, {served}/{takers} takers served"
+                ));
+            }
+            for home in (0..bank.shards()).filter(|_| poisoned) {
+                let start = Instant::now();
+                if bank.take_at(home).wait_timeout(STRANDED).is_ok() || start.elapsed() >= STRANDED
+                {
+                    return Err(format!(
+                        "post-poison take through shard {home} did not fail fast"
+                    ));
+                }
+            }
+            let stored = bank.stored();
+            if served + stored != total {
+                return Err(format!(
+                    "{served} delivered + {stored} stored != {total} items"
+                ));
+            }
+            match alive.map(|alive| alive()) {
+                Some(n) if n != total => Err(format!("{} of {total} elements dropped", total - n)),
+                _ => Ok(()),
+            }
+        }
+
+        /// Every item is given back in one batch through shard 0 while as
+        /// many takers wait on shard 1: the batched give's serve pass hands
+        /// the batch over to shard 1 in one batched resume.
+        pub fn batched_give<S: Kind>() -> Result<(), String> {
+            let (bank, items, alive) = held::<S>(W);
+            let joins = park_takers(&bank, 1, W);
+            let crashed = run_crashable(std::panic::AssertUnwindSafe(|| {
+                bank.give_many_at(0, items);
+            }))?;
+            check_aftermath(&bank, joins, crashed, W, alive)
+        }
+
+        /// Every item is given back one at a time through shard 0 while as
+        /// many takers wait on shard 1. The semaphore banks each permit
+        /// until the last holder's release sweeps, whose rebalance
+        /// migration hands all of them over in one batched resume. (The
+        /// pool migrates each stored element at once, a single resume with
+        /// no batch window, so this is a placement for the semaphore only.)
+        pub fn give_one_by_one<S: Kind>() -> Result<(), String> {
+            let (bank, items, alive) = held::<S>(W);
+            let joins = park_takers(&bank, 1, W);
+            let mut crashed = false;
+            for item in items {
+                crashed |= run_crashable(std::panic::AssertUnwindSafe(|| bank.give_at(0, item)))?;
+            }
+            check_aftermath(&bank, joins, crashed, W, alive)
+        }
+
+        /// Forces one crash placement like the explorer's
+        /// [`CountdownFault`], and also runs `action` once, on the thread
+        /// that first crosses `cqs.resume.pre-counter`: inside a give that
+        /// already committed to a parked waiter but has not resumed it.
+        struct FaultWithAction {
+            fault: Arc<CountdownFault>,
+            action: StdMutex<Option<Box<dyn FnOnce() + Send>>>,
+        }
+
+        impl cqs_chaos::Scheduler for FaultWithAction {
+            fn at_point(&self, label: &'static str) {
+                if label == "cqs.resume.pre-counter" {
+                    let action = self.action.lock().unwrap().take();
+                    if let Some(action) = action {
+                        action();
+                    }
+                }
+            }
+
+            fn at_fault(&self, label: &'static str) -> bool {
+                self.fault.at_fault(label)
+            }
+        }
+
+        /// A refusal whose hook sweep migrates a batch: two items held,
+        /// waiter X parked on shard 0 and two takers on shard 1. The first
+        /// give at shard 0 commits to X; inside that give (before its
+        /// resume) the second item is given at shard 0 too and X cancels,
+        /// refusing the in-flight resume. The resume then settles the
+        /// refusal, whose hook sweeps. For the semaphore both permits are
+        /// now banked (no holder left), so the sweep migrates both in one
+        /// batched resume; the pool has already migrated the second
+        /// element on its own put, so its sweep moves the refused element
+        /// alone (a single resume).
+        fn refusal_hook_sweep<S: Kind>(fault: Arc<CountdownFault>) -> Result<(), String> {
+            let (bank, mut items, alive) = held::<S>(2);
+            let x = bank.take_at(0);
+            assert!(!x.is_immediate(), "setup: waiter X must park");
+            let joins = park_takers(&bank, 1, 2);
+            let x_cancelled = Arc::new(AtomicBool::new(false));
+            let action = {
+                let (bank, x_cancelled) = (Arc::clone(&bank), Arc::clone(&x_cancelled));
+                let second = items.pop().expect("two items");
+                Box::new(move || {
+                    bank.give_at(0, second);
+                    x_cancelled.store(x.cancel(), Ordering::SeqCst);
+                }) as Box<dyn FnOnce() + Send>
+            };
+            let scheduler = FaultWithAction {
+                fault,
+                action: StdMutex::new(Some(action)),
+            };
+            let crashed = {
+                let _guard = cqs_chaos::scoped_scheduler(Arc::new(scheduler));
+                let first = items.pop().expect("two items");
+                run_crashable(std::panic::AssertUnwindSafe(|| bank.give_at(0, first)))?
+            };
+            if !x_cancelled.load(Ordering::SeqCst) {
+                return Err("X's cancellation did not win: no refusal happened".to_string());
+            }
+            check_aftermath(&bank, joins, crashed, 2, alive)
+        }
+
+        /// Explores every crossing of [`MID_BATCH`] in the refusal-hook
+        /// scenario (the explorer's loop, with [`FaultWithAction`] in place
+        /// of a bare countdown); returns the number of injections.
+        fn explore_refusal_hook_sweep<S: Kind>() -> usize {
+            for occurrence in 1..=W + 2 {
+                let fault = Arc::new(CountdownFault::new(MID_BATCH, occurrence));
+                refusal_hook_sweep::<S>(Arc::clone(&fault))
+                    .unwrap_or_else(|e| panic!("[refusal hook, crossing #{occurrence}] {e}"));
+                if !fault.fired() {
+                    return occurrence - 1;
+                }
+            }
+            W + 2
+        }
+
+        /// The refusal-hook sweep recovers or poisons at every crash
+        /// placement on both sharded types, and the semaphore's sweep
+        /// really crosses the batch window.
+        #[test]
+        fn refusal_hook_sweep_recovers_or_poisons() {
+            let _serial = serial_lock().lock().unwrap();
+            with_quiet_panics(|| {
+                let injections = explore_refusal_hook_sweep::<Semaphore>();
+                assert!(
+                    injections >= 2,
+                    "the hook sweep must migrate a batch, injected {injections}"
+                );
+                explore_refusal_hook_sweep::<Pool>();
+            });
+        }
+    }
+
     /// A crash scenario: runs a protocol round and reports the contract
     /// violation (if any) as a counterexample message.
     #[cfg(not(feature = "planted-unguarded"))]
@@ -334,6 +556,12 @@ mod enabled {
             ("future.wake.fault.pre-fire", resume_n_scenario),
             ("cqs.close.fault.mid-sweep", close_scenario),
             ("channel.deliver.fault.pre-count", channel_deliver_scenario),
+            (sharded::MID_BATCH, sharded::batched_give::<cqs::Semaphore>),
+            (sharded::MID_BATCH, sharded::batched_give::<Pool>),
+            (
+                sharded::MID_BATCH,
+                sharded::give_one_by_one::<cqs::Semaphore>,
+            ),
         ]
     }
 

@@ -25,11 +25,13 @@
 //! * **mid-batch cancellation** — a waiter cancelling while `resume_n`
 //!   traverses either gets its value or the batch reports it failed,
 //!   never both, and its neighbours are unaffected;
-//! * **sharded handoff vs. cancellation** — for both the sharded
-//!   semaphore and the sharded pool, a cancellation voiding a same-shard
-//!   handoff (deregistering before the release's/put's `fetch_add`, or
-//!   refusing its in-flight resume) never strands a waiter parked on a
-//!   sibling shard next to the re-banked permit/element;
+//! * **sharded steal, scan and handoff vs. cancellation** — written once
+//!   over the sharded bank and run on the sharded semaphore and the
+//!   sharded pool: a steal racing a local take never double-pays, and a
+//!   cancellation racing a give's sibling scan or voiding a same-shard
+//!   handoff (deregistering before the give's `fetch_add`, or refusing its
+//!   in-flight resume) never strands a waiter parked on a sibling shard
+//!   next to the re-stored permit/element;
 //! * **rendezvous receive abort vs. send** — a parked rendezvous receiver
 //!   cancelling while a sender arrives on its capacity agrees with the
 //!   sender: both abort, or the element is delivered;
@@ -51,11 +53,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 
+mod common;
+
+use common::{Kind, Pool};
 use cqs::{
-    Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ResumeMode, Semaphore, ShardedQueuePool,
-    ShardedSemaphore, SimpleCancellation,
+    Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ResumeMode, Semaphore, SimpleCancellation,
 };
 use cqs_check::{Explorer, Program};
+use cqs_core::shard::ShardBank;
 
 /// The explorer installs a process-global `cqs_chaos` scheduler; tests
 /// must not overlap. (The CI check job additionally runs with
@@ -76,7 +81,7 @@ fn explorer() -> Explorer {
     }
 }
 
-type Slot = Arc<StdMutex<Option<CqsFuture<u64>>>>;
+type Slot<T = u64> = Arc<StdMutex<Option<CqsFuture<T>>>>;
 
 fn take(slot: &Slot, who: &str) -> Result<CqsFuture<u64>, String> {
     slot.lock()
@@ -485,310 +490,231 @@ fn rendezvous_receive_cancel_vs_send_agree() {
     });
 }
 
-/// Sweeps a 1-permit sharded semaphore after a race settled: exactly one
-/// permit must exist across both shards — one probe acquire succeeds
-/// immediately, a second stays pending (and is cancelled for cleanup).
-fn assert_one_sharded_permit(sem: &ShardedSemaphore) -> Result<(), String> {
-    let mut p1 = sem.acquire_at(0);
-    match p1.try_get() {
-        FutureState::Ready(()) => {}
-        other => return Err(format!("permit lost: probe acquire got {other:?}")),
+/// A 2-shard bank under `S`'s own policy holding one item, currently
+/// held by the caller (returned).
+fn one_held<S: Kind>() -> (Arc<ShardBank<S>>, S::Item) {
+    let (bank, mut items) = S::held(1, 2);
+    (Arc::new(bank), items.pop().expect("one item"))
+}
+
+/// Probes a one-item sharded bank after a race settled: exactly one item
+/// must exist across both shards — one probe take succeeds immediately
+/// with it, a second stays pending (and is cancelled for cleanup).
+fn assert_one_item<S: Kind>(bank: &ShardBank<S>, item: &S::Item) -> Result<(), String> {
+    match bank.take_at(0).try_get() {
+        FutureState::Ready(v) if v == *item => {}
+        other => return Err(format!("item lost: probe take got {other:?}")),
     }
-    let p2 = sem.acquire_at(0);
-    if p2.is_immediate() {
-        return Err("phantom permit: two immediate acquires on one permit".into());
+    let second = bank.take_at(0);
+    if second.is_immediate() {
+        return Err("phantom item: two immediate takes of one item".into());
     }
-    assert!(p2.cancel(), "cleanup: pending probe must cancel");
+    assert!(second.cancel(), "cleanup: pending probe must cancel");
     Ok(())
 }
 
-/// Cross-shard steal racing a local fast path, exhaustively: a 2-shard
-/// semaphore whose single permit is banked on shard 1, with T1 acquiring
-/// through shard 0 (it must *steal* across the `sharded.steal.window`
-/// schedule points) and T2 acquiring locally on shard 1. In every
-/// interleaving exactly one of them obtains the permit and the total never
-/// leaves 1 — the steal CAS and the local CAS can race but not double-pay.
-#[test]
-fn sharded_steal_vs_local_acquire_conserves_the_permit() {
-    let _serial = serial();
-    let exploration = explorer().check_exhaustive(|| {
-        let sem = Arc::new(ShardedSemaphore::with_shards(1, 2));
-        // Move the permit to shard 1: drain shard 0's share, then return
-        // it through shard 1 (no waiters anywhere, so it banks there).
-        let drained = sem.acquire_at(0);
-        assert!(drained.is_immediate(), "setup: shard 0 holds the permit");
-        sem.release_at(1);
-        let slots: [Slot2; 2] = [Arc::default(), Arc::default()];
-        Program::new()
-            .thread({
-                let (sem, slot) = (Arc::clone(&sem), Arc::clone(&slots[0]));
-                move || {
-                    *slot.lock().unwrap() = Some(sem.acquire_at(0)); // stealer
-                }
-            })
-            .thread({
-                let (sem, slot) = (Arc::clone(&sem), Arc::clone(&slots[1]));
-                move || {
-                    *slot.lock().unwrap() = Some(sem.acquire_at(1)); // local
-                }
-            })
-            .check(move || {
-                // Settle the losers *before* returning any permit: a
-                // release would (correctly) migrate to a still-parked
-                // waiter via the quiescence sweep and blur the tally.
-                let mut winners = Vec::new();
-                for (i, slot) in slots.iter().enumerate() {
-                    let mut f = slot
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                        .ok_or_else(|| format!("acquirer {i}: future never stored"))?;
-                    match f.try_get() {
-                        FutureState::Ready(()) => winners.push(i),
-                        FutureState::Pending => {
-                            if !f.cancel() {
-                                return Err(format!(
-                                    "acquirer {i}: cancel of a pending waiter lost \
-                                     with no release in flight"
-                                ));
-                            }
-                        }
-                        other => return Err(format!("acquirer {i}: got {other:?}")),
-                    }
-                }
-                let [winner] = winners[..] else {
-                    return Err(format!("{} acquirers won a single permit", winners.len()));
-                };
-                sem.release_at(winner);
-                assert_one_sharded_permit(&sem)
-            })
-    });
-    assert!(
-        exploration.runs >= 2,
-        "the steal window must branch the schedule, ran {}",
-        exploration.runs
-    );
+/// Explores `program` exhaustively and returns the schedules it ran.
+fn explore_sharded(program: fn() -> Program) -> usize {
+    explorer().check_exhaustive(program).runs
 }
 
-/// The release-time sibling scan racing the waiter's cancellation: the
-/// single permit is held through shard 0 while a waiter parks on shard 1;
-/// T1 cancels the waiter while T2 releases at shard 0, whose quiescence
-/// sweep crosses the `sharded.rebalance.window` to feed shard 1. In every
-/// interleaving the cancel and the migrated permit resolve exactly-once:
-/// the waiter ends Ready with the permit or Cancelled with the permit
-/// banked — never both, never neither (no lost wakeup, no phantom).
-#[test]
-fn sharded_release_scan_vs_cancel_is_exactly_once() {
-    let _serial = serial();
-    explorer().check_exhaustive(|| {
-        let sem = Arc::new(ShardedSemaphore::with_shards(1, 2));
-        let held = sem.acquire_at(0);
-        assert!(held.is_immediate(), "setup: the permit starts held");
-        let waiter = sem.acquire_at(1);
-        assert!(!waiter.is_immediate(), "setup: the waiter must park");
-        let waiter = Arc::new(StdMutex::new(Some(waiter)));
-        let cancelled = Arc::new(AtomicBool::new(false));
-        Program::new()
-            .thread({
-                let (waiter, cancelled) = (Arc::clone(&waiter), Arc::clone(&cancelled));
-                move || {
-                    let w = waiter.lock().unwrap();
-                    cancelled.store(
-                        w.as_ref().expect("setup stored it").cancel(),
-                        Ordering::SeqCst,
-                    );
-                }
-            })
-            .thread({
-                let sem = Arc::clone(&sem);
-                move || sem.release_at(0)
-            })
-            .check(move || {
-                let mut w = waiter
+/// Cross-shard steal racing a local fast path, exhaustively: the single
+/// item is stored on shard 1, T1 takes through shard 0 (it must *steal*
+/// across the `sharded.steal.window` schedule points) and T2 takes locally
+/// on shard 1. In every interleaving exactly one of them obtains the item
+/// and the total never leaves 1 — the steal CAS and the local CAS can race
+/// but not double-pay.
+fn steal_vs_local_take<S: Kind>() -> Program {
+    let (bank, item) = one_held::<S>();
+    // No waiters anywhere, so the item is stored at shard 1.
+    bank.give_at(1, item.clone());
+    let slots: [Slot<S::Item>; 2] = Default::default();
+    Program::new()
+        .thread({
+            let (bank, slot) = (Arc::clone(&bank), Arc::clone(&slots[0]));
+            move || *slot.lock().unwrap() = Some(bank.take_at(0)) // stealer
+        })
+        .thread({
+            let (bank, slot) = (Arc::clone(&bank), Arc::clone(&slots[1]));
+            move || *slot.lock().unwrap() = Some(bank.take_at(1)) // local
+        })
+        .check(move || {
+            // Settle the losers *before* giving the item back: a give
+            // would (correctly) migrate to a still-parked waiter via the
+            // sweep and blur the tally.
+            let mut winners = Vec::new();
+            for (i, slot) in slots.iter().enumerate() {
+                let mut f = slot
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .take()
-                    .ok_or("waiter: future never stored")?;
-                match (cancelled.load(Ordering::SeqCst), w.try_get()) {
-                    (true, FutureState::Cancelled) => {} // permit banked somewhere
-                    (false, FutureState::Ready(())) => sem.release_at(1), // waiter got it
-                    (c, other) => {
-                        return Err(format!("waiter: cancel()=={c} but future is {other:?}"))
+                    .ok_or_else(|| format!("taker {i}: future never stored"))?;
+                match f.try_get() {
+                    FutureState::Ready(v) if v == item => winners.push(i),
+                    FutureState::Pending => {
+                        if !f.cancel() {
+                            return Err(format!(
+                                "taker {i}: cancel of a pending waiter lost with no give in flight"
+                            ));
+                        }
                     }
+                    other => return Err(format!("taker {i}: got {other:?}")),
                 }
-                assert_one_sharded_permit(&sem)
-            })
-    });
+            }
+            let [winner] = winners[..] else {
+                return Err(format!("{} takers won a single item", winners.len()));
+            };
+            bank.give_at(winner, item.clone());
+            assert_one_item(&bank, &item)
+        })
+}
+
+#[test]
+fn sharded_steal_vs_local_take_conserves_the_item() {
+    let _serial = serial();
+    for runs in [
+        explore_sharded(steal_vs_local_take::<Semaphore>),
+        explore_sharded(steal_vs_local_take::<Pool>),
+    ] {
+        assert!(
+            runs >= 2,
+            "the steal window must branch the schedule, ran {runs}"
+        );
+    }
+}
+
+/// The give-time sibling scan racing the waiter's cancellation: the single
+/// item is held while a waiter parks on shard 1; T1 cancels the waiter
+/// while T2 gives the item back at shard 0, whose sweep (semaphore) or
+/// pulse (pool) crosses the `sharded.rebalance.window` to feed shard 1.
+/// In every interleaving the cancel and the migrated item resolve
+/// exactly-once: the waiter ends Ready with the item or Cancelled with the
+/// item stored — never both, never neither (no lost wakeup, no phantom).
+fn give_scan_vs_cancel<S: Kind>() -> Program {
+    let (bank, item) = one_held::<S>();
+    let waiter = bank.take_at(1);
+    assert!(!waiter.is_immediate(), "setup: the waiter must park");
+    let waiter = Arc::new(StdMutex::new(Some(waiter)));
+    let cancelled = Arc::new(AtomicBool::new(false));
+    Program::new()
+        .thread({
+            let (waiter, cancelled) = (Arc::clone(&waiter), Arc::clone(&cancelled));
+            move || {
+                let w = waiter.lock().unwrap();
+                cancelled.store(
+                    w.as_ref().expect("setup stored it").cancel(),
+                    Ordering::SeqCst,
+                );
+            }
+        })
+        .thread({
+            let (bank, item) = (Arc::clone(&bank), item.clone());
+            move || bank.give_at(0, item)
+        })
+        .check(move || {
+            let mut w = waiter
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take()
+                .ok_or("waiter: future never stored")?;
+            match (cancelled.load(Ordering::SeqCst), w.try_get()) {
+                (true, FutureState::Cancelled) => {} // item stored somewhere
+                (false, FutureState::Ready(v)) if v == item => bank.give_at(1, v),
+                (c, other) => return Err(format!("waiter: cancel()=={c} but future is {other:?}")),
+            }
+            assert_one_item(&bank, &item)
+        })
+}
+
+#[test]
+fn sharded_give_scan_vs_cancel_is_exactly_once() {
+    let _serial = serial();
+    explore_sharded(give_scan_vs_cancel::<Semaphore>);
+    explore_sharded(give_scan_vs_cancel::<Pool>);
 }
 
 /// The *same-shard* sibling of the program above — the lost-wakeup corner
-/// the `release_at` handoff path owns: the single permit is held through
-/// shard 0, one waiter parks on shard 0 (the release's own shard) and a
-/// second on shard 1. T1 cancels the shard-0 waiter while T2 releases at
-/// shard 0. If the cancel voids the handoff — by deregistering before the
-/// release's `fetch_add`, or by refusing the in-flight resume afterwards
-/// (which re-banks the permit via `on_cancellation`) — the permit banks
-/// at shard 0 with no holder anywhere, and the release must still sweep
-/// it to the shard-1 waiter. A `waiting()`-snapshot-guided early return
-/// strands that waiter forever; the fix decides banked-vs-served from the
-/// release's own `fetch_add` and runs the quiescence sweep on both paths.
-#[test]
-fn sharded_same_shard_cancel_vs_release_handoff_loses_no_wakeup() {
-    let _serial = serial();
-    explorer().check_exhaustive(|| {
-        let sem = Arc::new(ShardedSemaphore::with_shards(1, 2));
-        let held = sem.acquire_at(0);
-        assert!(held.is_immediate(), "setup: the permit starts held");
-        let local = sem.acquire_at(0);
-        assert!(!local.is_immediate(), "setup: the shard-0 waiter must park");
-        let mut remote = sem.acquire_at(1);
-        assert!(
-            !remote.is_immediate(),
-            "setup: the shard-1 waiter must park"
-        );
-        let local = Arc::new(StdMutex::new(Some(local)));
-        let cancelled = Arc::new(AtomicBool::new(false));
-        Program::new()
-            .thread({
-                let (local, cancelled) = (Arc::clone(&local), Arc::clone(&cancelled));
-                move || {
-                    let w = local.lock().unwrap();
-                    cancelled.store(
-                        w.as_ref().expect("setup stored it").cancel(),
-                        Ordering::SeqCst,
-                    );
-                }
-            })
-            .thread({
-                let sem = Arc::clone(&sem);
-                move || sem.release_at(0)
-            })
-            .check(move || {
-                let mut w = local
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .ok_or("local waiter: future never stored")?;
-                match (cancelled.load(Ordering::SeqCst), w.try_get()) {
-                    (true, FutureState::Cancelled) => {
-                        // The handoff was voided; the permit must have
-                        // reached the shard-1 waiter — a banked permit
-                        // next to a parked waiter is the lost wakeup this
-                        // program exists to rule out.
-                        match remote.try_get() {
-                            FutureState::Ready(()) => sem.release_at(1),
-                            other => {
-                                return Err(format!(
-                                    "lost wakeup: local waiter cancelled but the \
-                                     shard-1 waiter is {other:?}"
-                                ))
-                            }
+/// the give's handoff path owns: the single item is held, one waiter parks
+/// on shard 0 (the give's own shard) and a second on shard 1. T1 cancels
+/// the shard-0 waiter while T2 gives the item at shard 0. If the cancel
+/// voids the handoff — by deregistering before the give's `fetch_add`, or
+/// by refusing its in-flight resume afterwards (which re-stores the item
+/// via `on_cancellation` / `complete_refused_resume`) — the item is stored
+/// at shard 0 next to the parked shard-1 waiter, and the give must still
+/// sweep it there. A waiter-snapshot-guided early return strands that
+/// waiter forever; the bank decides stored-vs-served from the give's own
+/// `fetch_add` and sweeps on both paths.
+fn same_shard_cancel_vs_handoff<S: Kind>() -> Program {
+    let (bank, item) = one_held::<S>();
+    let local = bank.take_at(0);
+    assert!(!local.is_immediate(), "setup: the shard-0 waiter must park");
+    let mut remote = bank.take_at(1);
+    assert!(
+        !remote.is_immediate(),
+        "setup: the shard-1 waiter must park"
+    );
+    let local = Arc::new(StdMutex::new(Some(local)));
+    let cancelled = Arc::new(AtomicBool::new(false));
+    Program::new()
+        .thread({
+            let (local, cancelled) = (Arc::clone(&local), Arc::clone(&cancelled));
+            move || {
+                let w = local.lock().unwrap();
+                cancelled.store(
+                    w.as_ref().expect("setup stored it").cancel(),
+                    Ordering::SeqCst,
+                );
+            }
+        })
+        .thread({
+            let (bank, item) = (Arc::clone(&bank), item.clone());
+            move || bank.give_at(0, item)
+        })
+        .check(move || {
+            let mut w = local
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take()
+                .ok_or("local waiter: future never stored")?;
+            match (cancelled.load(Ordering::SeqCst), w.try_get()) {
+                (true, FutureState::Cancelled) => {
+                    // The handoff was voided; the item must have reached
+                    // the shard-1 waiter — a stored item next to a parked
+                    // waiter is the lost wakeup this program rules out.
+                    match remote.try_get() {
+                        FutureState::Ready(v) if v == item => bank.give_at(1, v),
+                        other => {
+                            return Err(format!(
+                                "lost wakeup: local waiter cancelled but the \
+                                 shard-1 waiter is {other:?}"
+                            ))
                         }
                     }
-                    (false, FutureState::Ready(())) => {
-                        // The local waiter won the permit; the shard-1
-                        // waiter stays parked and must cancel cleanly.
-                        if !remote.cancel() {
-                            return Err(
-                                "shard-1 waiter: cancel lost with no release in flight".into()
-                            );
-                        }
-                        sem.release_at(0);
-                    }
-                    (c, other) => {
-                        return Err(format!(
-                            "local waiter: cancel()=={c} but future is {other:?}"
-                        ))
-                    }
                 }
-                assert_one_sharded_permit(&sem)
-            })
-    });
+                (false, FutureState::Ready(v)) if v == item => {
+                    // The local waiter won; the shard-1 waiter stays
+                    // parked and must cancel cleanly.
+                    if !remote.cancel() {
+                        return Err("shard-1 waiter: cancel lost with no give in flight".into());
+                    }
+                    bank.give_at(0, v);
+                }
+                (c, other) => {
+                    return Err(format!(
+                        "local waiter: cancel()=={c} but future is {other:?}"
+                    ))
+                }
+            }
+            assert_one_item(&bank, &item)
+        })
 }
 
-/// The pool mirror of the program above: two takers park (one per shard),
-/// T1 cancels the shard-0 taker while T2 puts through shard 0. If the
-/// cancel voids the handoff the element is *stored* at shard 0 — and
-/// unlike semaphore credit, a stored element has no future release coming
-/// — so the put must migrate it to the shard-1 taker in every
-/// interleaving (including the refusal one, where `complete_refused_resume`
-/// re-stores the element after the put's resume already committed).
 #[test]
-fn sharded_pool_same_shard_cancel_vs_put_loses_no_wakeup() {
+fn sharded_same_shard_cancel_vs_handoff_loses_no_wakeup() {
     let _serial = serial();
-    explorer().check_exhaustive(|| {
-        let pool: Arc<ShardedQueuePool<u64>> = Arc::new(ShardedQueuePool::with_shards(2));
-        let local = pool.take_at(0);
-        assert!(!local.is_immediate(), "setup: the shard-0 taker must park");
-        let mut remote = pool.take_at(1);
-        assert!(!remote.is_immediate(), "setup: the shard-1 taker must park");
-        let local = Arc::new(StdMutex::new(Some(local)));
-        let cancelled = Arc::new(AtomicBool::new(false));
-        Program::new()
-            .thread({
-                let (local, cancelled) = (Arc::clone(&local), Arc::clone(&cancelled));
-                move || {
-                    let t = local.lock().unwrap();
-                    cancelled.store(
-                        t.as_ref().expect("setup stored it").cancel(),
-                        Ordering::SeqCst,
-                    );
-                }
-            })
-            .thread({
-                let pool = Arc::clone(&pool);
-                move || pool.put_at(0, 42)
-            })
-            .check(move || {
-                let mut t = local
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .ok_or("local taker: future never stored")?;
-                match (cancelled.load(Ordering::SeqCst), t.try_get()) {
-                    (true, FutureState::Cancelled) => {
-                        // The handoff was voided; the element must have
-                        // migrated to the shard-1 taker instead of idling
-                        // in shard 0's store.
-                        match remote.try_get() {
-                            FutureState::Ready(42) => pool.put_at(1, 42),
-                            other => {
-                                return Err(format!(
-                                    "lost wakeup: local taker cancelled but the \
-                                     shard-1 taker is {other:?}"
-                                ))
-                            }
-                        }
-                    }
-                    (false, FutureState::Ready(42)) => {
-                        if !remote.cancel() {
-                            return Err("shard-1 taker: cancel lost with no put in flight".into());
-                        }
-                        pool.put_at(0, 42);
-                    }
-                    (c, other) => {
-                        return Err(format!(
-                            "local taker: cancel()=={c} but future is {other:?}"
-                        ))
-                    }
-                }
-                // Exactly one element must exist, wherever the race put it.
-                let mut probe = pool.take_at(0);
-                match probe.try_get() {
-                    FutureState::Ready(42) => {}
-                    other => return Err(format!("element lost: probe take got {other:?}")),
-                }
-                let second = pool.take_at(0);
-                if second.is_immediate() {
-                    return Err("phantom element: two immediate takes of one element".into());
-                }
-                assert!(second.cancel(), "cleanup: pending probe must cancel");
-                Ok(())
-            })
-    });
+    explore_sharded(same_shard_cancel_vs_handoff::<Semaphore>);
+    explore_sharded(same_shard_cancel_vs_handoff::<Pool>);
 }
-
-type Slot2 = Arc<StdMutex<Option<CqsFuture<()>>>>;
 
 /// A waiter cancelling in the middle of a `resume_n` batch: value 2
 /// either reaches waiter 1 or comes back in the batch's failed-value

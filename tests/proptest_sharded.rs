@@ -1,28 +1,37 @@
-//! Property-based tests for [`cqs::ShardedSemaphore`]: random operation
-//! sequences executed single-threaded against
+//! Property-based tests for the sharded bank behind [`cqs::ShardedSemaphore`]
+//! and [`cqs::ShardedQueuePool`]: random operation sequences executed
+//! single-threaded, once per type, against
 //!
 //! 1. an exact sequential reference model of the sharded protocol
 //!    (per-shard banks + FIFO queues, rebalance pulses every
-//!    `interval`-th banking release, the quiescence sweep when the last
-//!    holder releases), checking outcome agreement and global permit
+//!    `interval`-th storing give, the sweep once the shard type's
+//!    threshold of items is stored), checking outcome agreement and global item
 //!    conservation after every step, and
-//! 2. a plain [`cqs::Semaphore`] when `shards == 1`, where the sharded
-//!    wrapper must be observationally identical (same immediate/pending
-//!    outcomes, same FIFO wake order, same available count).
+//! 2. the plain primitive when `shards == 1`, where the sharded bank must
+//!    be observationally identical (same immediate/pending outcomes, same
+//!    FIFO wake order, same values, same stored count).
+//!
+//! A semaphore is a pool of unit permits, so the model is written once
+//! over permit/element counts; only the sweep threshold differs (all
+//! permits banked for the semaphore, one stored element for the pool).
+
+mod common;
 
 use std::collections::VecDeque;
+use std::fmt::Debug;
 
 use proptest::prelude::*;
 
-use cqs::{CqsFuture, FutureState, Semaphore, ShardedSemaphore};
+use common::{Kind, Pool};
+use cqs::{CqsFuture, FutureState, Semaphore};
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// `acquire_at(home)`.
+    /// `take_at(home)`.
     Acquire(usize),
-    /// `release_at(home)` — skipped when nothing is held.
+    /// `give_at(home)` — skipped when nothing is held.
     Release(usize),
-    /// `release_n_at(home, k)` with `k` clamped to the held count.
+    /// `give_many_at(home, k)` with `k` clamped to the held count.
     ReleaseN(usize, usize),
     /// Cancel the pending waiter with this (wrapped) index.
     Cancel(usize),
@@ -39,27 +48,28 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn configs() -> impl Strategy<Value = (usize, usize, u64, Vec<Op>)> {
     (
-        1usize..6, // permits
+        1usize..6, // items (permits / elements)
         1usize..5, // shards
         1u64..5,   // rebalance interval
         prop::collection::vec(op_strategy(), 0..120),
     )
 }
 
-/// Exact sequential model of the sharded protocol. Permit conservation is
-/// structural: every permit is either in some shard's bank or held.
+/// Exact sequential model of the sharded protocol. Conservation is
+/// structural: every item is either in some shard's bank or held.
 struct Model {
     banks: Vec<usize>,
     waiters: Vec<VecDeque<usize>>,
     streak: Vec<u64>,
     held: usize,
     interval: u64,
+    threshold: usize,
 }
 
 impl Model {
-    fn new(permits: usize, shards: usize, interval: u64) -> Self {
+    fn new(items: usize, shards: usize, interval: u64, threshold: usize) -> Self {
         let banks = (0..shards)
-            .map(|i| permits / shards + usize::from(i < permits % shards))
+            .map(|i| items / shards + usize::from(i < items % shards))
             .collect();
         Model {
             banks,
@@ -67,6 +77,7 @@ impl Model {
             streak: vec![0; shards],
             held: 0,
             interval,
+            threshold,
         }
     }
 
@@ -90,7 +101,7 @@ impl Model {
         None
     }
 
-    /// Returns the waiter ids served by this release, in wake order.
+    /// Returns the waiter ids served by this give, in wake order.
     fn release_at(&mut self, home: usize) -> Vec<usize> {
         let n = self.shards();
         let home = home % n;
@@ -109,12 +120,7 @@ impl Model {
             self.streak[home] = 0;
             served.extend(self.rebalance_from(home));
         }
-        if self.held == 0 {
-            // Quiescence sweep: the last holder just banked its permit, so
-            // no future release will serve the parked waiters — migrate
-            // from *every* bank (the real sweep's all-shards pass).
-            served.extend(self.sweep());
-        }
+        served.extend(self.sweep());
         served
     }
 
@@ -136,25 +142,26 @@ impl Model {
             self.held += w;
             left -= w;
         }
-        // No early return: like the real batched release, the trailing
-        // home rebalance and the quiescence check run even when waiters
-        // consumed all `k` permits — earlier banking releases may have
-        // left idle credit at home next to waiters parked elsewhere.
+        // No early return: like the real batched give, the trailing home
+        // rebalance and the sweep run even when waiters consumed all `k`
+        // items — earlier storing gives may have left idle items at home
+        // next to waiters parked elsewhere.
         self.banks[home] += left;
         self.streak[home] = 0;
         served.extend(self.rebalance_from(home));
-        if self.held == 0 {
-            served.extend(self.sweep());
-        }
+        served.extend(self.sweep());
         served
     }
 
-    /// One all-shards rebalance pass: the sequential shadow of the real
-    /// quiescence sweep. (The real sweep loops until nothing moves, but
-    /// sequentially any movement serves a waiter, which leaves quiescence
-    /// — so exactly one pass ever runs.)
+    /// One all-shards rebalance pass once the threshold is stored: the
+    /// sequential shadow of the real sweep. (The real sweep loops until
+    /// nothing moves, but sequentially one pass either drains every bank
+    /// or serves every waiter — so exactly one pass ever moves items.)
     fn sweep(&mut self) -> Vec<usize> {
         let mut served = Vec::new();
+        if self.available() < self.threshold {
+            return served;
+        }
         for home in 0..self.shards() {
             served.extend(self.rebalance_from(home));
         }
@@ -198,161 +205,203 @@ impl Model {
     }
 }
 
-/// Pop the tracked future with this id and assert it is now `Ready`.
-fn expect_served(real: &mut Vec<(usize, CqsFuture<()>)>, id: usize) -> Result<(), TestCaseError> {
-    let (_, mut f) = real
+/// The value of a future that must already be complete.
+fn ready<T: Debug>(mut f: CqsFuture<T>) -> Result<T, TestCaseError> {
+    match f.try_get() {
+        FutureState::Ready(v) => Ok(v),
+        other => Err(TestCaseError::fail(format!(
+            "expected Ready, got {other:?}"
+        ))),
+    }
+}
+
+/// Pop the tracked future with this id; it must now be `Ready`.
+fn expect_served<T: Debug>(
+    real: &mut Vec<(usize, CqsFuture<T>)>,
+    id: usize,
+) -> Result<T, TestCaseError> {
+    let (_, f) = real
         .iter()
         .position(|(i, _)| *i == id)
         .map(|i| real.remove(i))
         .ok_or_else(|| TestCaseError::fail(format!("served waiter {id} not tracked")))?;
-    prop_assert_eq!(f.try_get(), FutureState::Ready(()));
+    ready(f)
+}
+
+/// The real bank agrees with the sequential model on every operation
+/// outcome, and items are conserved after every step.
+fn matches_model<S: Kind>(
+    items: usize,
+    shards: usize,
+    interval: u64,
+    ops: Vec<Op>,
+) -> Result<(), TestCaseError> {
+    let bank = S::bank_every(items, shards, interval);
+    let threshold = S::sweep_threshold(&S::init(items));
+    let mut model = Model::new(items, shards, interval, threshold);
+    let mut held: Vec<S::Item> = Vec::new();
+    let mut real: Vec<(usize, CqsFuture<S::Item>)> = Vec::new();
+    let mut next_id = 0usize;
+
+    for op in ops {
+        match op {
+            Op::Acquire(home) => {
+                let f = bank.take_at(home);
+                match model.acquire_at(home, next_id) {
+                    Some(()) => {
+                        prop_assert!(f.is_immediate(), "model grants immediately, real parked");
+                        held.push(ready(f)?);
+                    }
+                    None => {
+                        prop_assert!(!f.is_immediate(), "model parks, real granted immediately");
+                        real.push((next_id, f));
+                    }
+                }
+                next_id += 1;
+            }
+            Op::Release(home) => {
+                let Some(item) = held.pop() else {
+                    continue; // never give back what we do not hold
+                };
+                bank.give_at(home, item);
+                for id in model.release_at(home) {
+                    held.push(expect_served(&mut real, id)?);
+                }
+            }
+            Op::ReleaseN(home, k) => {
+                let k = k.min(held.len());
+                if k == 0 {
+                    continue;
+                }
+                bank.give_many_at(home, held.split_off(held.len() - k));
+                for id in model.release_n_at(home, k) {
+                    held.push(expect_served(&mut real, id)?);
+                }
+            }
+            Op::Cancel(k) => {
+                if real.is_empty() {
+                    continue;
+                }
+                let (id, f) = real.remove(k % real.len());
+                prop_assert!(f.cancel());
+                model.cancel(id);
+            }
+        }
+        // Conservation + bookkeeping agreement after every step.
+        prop_assert_eq!(model.available() + model.held, items);
+        prop_assert_eq!(held.len(), model.held);
+        prop_assert_eq!(bank.stored(), model.available());
+        prop_assert_eq!(bank.waiting(), model.waiting());
+    }
+
+    // Whatever remains parked is still pending; drain everything and the
+    // full item set must come back.
+    for (_, mut f) in real.drain(..) {
+        prop_assert_eq!(f.try_get(), FutureState::Pending);
+        prop_assert!(f.cancel());
+    }
+    for item in held.drain(..) {
+        bank.give_at(0, item);
+    }
+    prop_assert_eq!(bank.stored(), items);
+    prop_assert_eq!(bank.waiting(), 0);
+    let all = (0..items)
+        .map(|_| ready(bank.take_at(0)))
+        .collect::<Result<Vec<_>, _>>()?;
+    prop_assert!(S::conserved(&all, items), "items lost or duplicated");
+    Ok(())
+}
+
+/// With a single shard the bank is observationally identical to the plain
+/// primitive: same immediate/pending outcomes, same wake order and values,
+/// same stored count, for every op sequence.
+fn single_shard_matches_plain<S: Kind>(items: usize, ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let sharded = S::bank(items, 1);
+    let plain = S::plain(items);
+    let mut held: Vec<(S::Item, S::Item)> = Vec::new();
+    let mut pairs: Vec<[CqsFuture<S::Item>; 2]> = Vec::new();
+
+    for op in ops {
+        match op {
+            Op::Acquire(home) => {
+                let a = sharded.take_at(home);
+                let b = plain.park();
+                prop_assert_eq!(a.is_immediate(), b.is_immediate());
+                if a.is_immediate() {
+                    let (x, y) = (ready(a)?, ready(b)?);
+                    prop_assert_eq!(&x, &y);
+                    held.push((x, y));
+                } else {
+                    pairs.push([a, b]);
+                }
+            }
+            Op::Release(home) | Op::ReleaseN(home, _) => {
+                let Some((x, y)) = held.pop() else {
+                    continue;
+                };
+                // Exercise both give entry points on the sharded side.
+                if matches!(op, Op::Release(_)) {
+                    sharded.give_at(home, x);
+                } else {
+                    sharded.give_many_at(home, vec![x]);
+                }
+                plain.give(y);
+                // A handoff serves the front waiter (FIFO on both sides).
+                if !pairs.is_empty() {
+                    let [a, b] = pairs.remove(0);
+                    let (x, y) = (ready(a)?, ready(b)?);
+                    prop_assert_eq!(&x, &y);
+                    held.push((x, y));
+                }
+            }
+            Op::Cancel(k) => {
+                if pairs.is_empty() {
+                    continue;
+                }
+                let [a, b] = pairs.remove(k % pairs.len());
+                prop_assert!(a.cancel());
+                prop_assert!(b.cancel());
+            }
+        }
+        prop_assert_eq!(sharded.stored(), plain.stored());
+        prop_assert_eq!(sharded.waiting(), plain.waiting());
+    }
+
+    for [mut a, mut b] in pairs {
+        prop_assert_eq!(a.try_get(), FutureState::Pending);
+        prop_assert_eq!(b.try_get(), FutureState::Pending);
+    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The real sharded semaphore agrees with the sequential model on every
-    /// operation outcome, and permits are conserved after every step.
     #[test]
     fn sharded_semaphore_matches_sequential_model(
-        (permits, shards, interval, ops) in configs()
+        (items, shards, interval, ops) in configs()
     ) {
-        let s = ShardedSemaphore::with_shards_and_interval(permits, shards, interval);
-        let mut model = Model::new(permits, shards, interval);
-        let mut real: Vec<(usize, CqsFuture<()>)> = Vec::new();
-        let mut next_id = 0usize;
-
-        for op in ops {
-            match op {
-                Op::Acquire(home) => {
-                    let f = s.acquire_at(home);
-                    match model.acquire_at(home, next_id) {
-                        Some(()) => prop_assert!(
-                            f.is_immediate(),
-                            "model grants immediately, real parked"
-                        ),
-                        None => {
-                            prop_assert!(
-                                !f.is_immediate(),
-                                "model parks, real granted immediately"
-                            );
-                            real.push((next_id, f));
-                        }
-                    }
-                    next_id += 1;
-                }
-                Op::Release(home) => {
-                    if model.held == 0 {
-                        continue; // never release what we do not hold
-                    }
-                    s.release_at(home);
-                    for id in model.release_at(home) {
-                        expect_served(&mut real, id)?;
-                    }
-                }
-                Op::ReleaseN(home, k) => {
-                    let k = k.min(model.held);
-                    if k == 0 {
-                        continue;
-                    }
-                    s.release_n_at(home, k);
-                    for id in model.release_n_at(home, k) {
-                        expect_served(&mut real, id)?;
-                    }
-                }
-                Op::Cancel(k) => {
-                    if real.is_empty() {
-                        continue;
-                    }
-                    let (id, f) = real.remove(k % real.len());
-                    prop_assert!(f.cancel());
-                    model.cancel(id);
-                }
-            }
-            // Conservation + bookkeeping agreement after every step.
-            prop_assert_eq!(model.available() + model.held, permits);
-            prop_assert_eq!(s.available_permits(), model.available());
-            prop_assert_eq!(s.waiting(), model.waiting());
-        }
-
-        // Whatever remains parked is still pending; drain everything and
-        // the full permit count must come back.
-        for (id, mut f) in real.drain(..) {
-            prop_assert_eq!(f.try_get(), FutureState::Pending);
-            prop_assert!(f.cancel());
-            model.cancel(id);
-        }
-        for _ in 0..model.held {
-            s.release_at(0);
-            model.release_at(0);
-        }
-        prop_assert_eq!(s.available_permits(), permits);
-        prop_assert_eq!(s.waiting(), 0);
+        matches_model::<Semaphore>(items, shards, interval, ops)?;
     }
 
-    /// With a single shard the sharded wrapper is observationally identical
-    /// to the plain FIFO semaphore: same immediate/pending outcomes, same
-    /// wake order, same available count, for every op sequence.
+    #[test]
+    fn sharded_pool_matches_sequential_model(
+        (items, shards, interval, ops) in configs()
+    ) {
+        matches_model::<Pool>(items, shards, interval, ops)?;
+    }
+
     #[test]
     fn single_shard_is_equivalent_to_plain_semaphore(
-        (permits, ops) in (1usize..5, prop::collection::vec(op_strategy(), 0..120))
+        (items, ops) in (1usize..5, prop::collection::vec(op_strategy(), 0..120))
     ) {
-        let sharded = ShardedSemaphore::with_shards(permits, 1);
-        let plain = Semaphore::new(permits);
-        let mut held = 0usize;
-        let mut pairs: Vec<(CqsFuture<()>, CqsFuture<()>)> = Vec::new();
+        single_shard_matches_plain::<Semaphore>(items, ops)?;
+    }
 
-        for op in ops {
-            match op {
-                Op::Acquire(home) => {
-                    let a = sharded.acquire_at(home);
-                    let b = plain.acquire();
-                    prop_assert_eq!(a.is_immediate(), b.is_immediate());
-                    if a.is_immediate() {
-                        held += 1;
-                    } else {
-                        pairs.push((a, b));
-                    }
-                }
-                Op::Release(home) | Op::ReleaseN(home, _) => {
-                    if held == 0 {
-                        continue;
-                    }
-                    // Exercise both release entry points on the sharded side.
-                    if matches!(op, Op::Release(_)) {
-                        sharded.release_at(home);
-                    } else {
-                        sharded.release_n_at(home, 1);
-                    }
-                    plain.release();
-                    if pairs.is_empty() {
-                        held -= 1; // banked on both sides
-                    }
-                    // A handoff keeps `held` unchanged; the front waiter
-                    // (FIFO on both sides) is now ready.
-                    else {
-                        let (mut a, mut b) = pairs.remove(0);
-                        prop_assert_eq!(a.try_get(), FutureState::Ready(()));
-                        prop_assert_eq!(b.try_get(), FutureState::Ready(()));
-                    }
-                }
-                Op::Cancel(k) => {
-                    if pairs.is_empty() {
-                        continue;
-                    }
-                    let (a, b) = pairs.remove(k % pairs.len());
-                    prop_assert!(a.cancel());
-                    prop_assert!(b.cancel());
-                }
-            }
-            prop_assert_eq!(sharded.available_permits(), plain.available_permits());
-            prop_assert_eq!(sharded.waiting(), plain.waiting());
-        }
-
-        for (mut a, mut b) in pairs {
-            prop_assert_eq!(a.try_get(), FutureState::Pending);
-            prop_assert_eq!(b.try_get(), FutureState::Pending);
-        }
+    #[test]
+    fn single_shard_is_equivalent_to_plain_pool(
+        (items, ops) in (1usize..5, prop::collection::vec(op_strategy(), 0..120))
+    ) {
+        single_shard_matches_plain::<Pool>(items, ops)?;
     }
 }
